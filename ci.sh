@@ -10,6 +10,12 @@ cd "$(dirname "$0")"
 echo "== build =="
 cargo build --release --workspace
 
+echo "== perfbench build (the benchmark compiles against this workspace) =="
+# perfbench/ is a stand-alone package pinned by its own Cargo.lock; an API
+# change that breaks it fails here rather than at benchmark time.
+CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked \
+  --manifest-path perfbench/Cargo.toml
+
 echo "== tests =="
 cargo test -q --workspace
 
@@ -151,8 +157,8 @@ echo "== sim-throughput regression gate =="
 # counters are compared exactly — drift there fails at any speed. See
 # DESIGN.md §12 for the baseline-refresh policy.
 ./target/release/bench --check
-# Prove the gate bites: a deliberate busy-loop in the core step (results
-# stay bit-identical) must blow through the band and fail the check.
+# Prove the gate bites: a deliberate busy-loop around every simulated cell
+# (results stay bit-identical) must blow through the band and fail the check.
 if ./target/release/bench --check --inject-slowdown \
      --warmup-ms 1 --min-sample-ms 1 > /dev/null 2>&1; then
   echo "bench --inject-slowdown was NOT caught by the gate" >&2

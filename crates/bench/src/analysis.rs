@@ -15,13 +15,13 @@
 //! document; [`depgraph_json`] renders the purely static dependence graphs
 //! (byte-diffed in CI — they depend only on the programs, not the budget).
 
+use crate::service::Exec;
 use dlvp::{DlvpConfig, DlvpSimSlice, PapConfig};
 use lvp_analysis::{
     cross_validate, cross_validate_dep, DepAnalysis, DepInputs, DynLoadStats, ProgramAnalysis,
     Violation, XvalConfig, XvalLoad,
 };
 use lvp_json::{Json, ToJson};
-use lvp_store::SimService;
 use lvp_trace::Trace;
 use lvp_uarch::CoreConfig;
 use lvp_workloads::Workload;
@@ -93,37 +93,26 @@ pub fn analyze_workload(
     dlvp: DlvpConfig,
     xval: &XvalConfig,
 ) -> WorkloadAnalysis {
-    analyze_workload_serviced(
-        workload,
-        budget,
-        pap,
-        dlvp,
-        xval,
-        &SimService::disabled(),
-        &lvp_obs::NullPhases,
-    )
-    .0
+    analyze_workload_serviced(workload, budget, pap, dlvp, xval, &Exec::new(1)).0
 }
 
-/// [`analyze_workload`] behind a [`SimService`]: the validating DLVP
+/// [`analyze_workload`] behind a result store: the validating DLVP
 /// simulation (the expensive part) is looked up in — and recorded to —
 /// the result store; the static passes and gate rules always run. Returns
 /// the analysis and whether the simulation was a cache hit. The analysis
 /// is identical either way because the cached payload round-trips every
 /// counter the gate reads.
 ///
-/// A `job:<workload>/analyze/dlvp` span is opened on `phases` only when
-/// the simulation actually runs, so a warm run's manifest reports zero
-/// jobs — exactly like the `figs`/`runner` pools.
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_workload_serviced<P: lvp_obs::PhaseSink>(
+/// A `job:<workload>/analyze/dlvp` span is opened on `exec.phases` only
+/// when the simulation actually runs, so a warm run's manifest reports
+/// zero jobs — exactly like the `figs`/`runner` batches.
+fn analyze_workload_serviced<P: lvp_obs::PhaseSink>(
     workload: &Workload,
     budget: u64,
     pap: PapConfig,
     dlvp: DlvpConfig,
     xval: &XvalConfig,
-    service: &SimService,
-    phases: &P,
+    exec: &Exec<P>,
 ) -> (WorkloadAnalysis, bool) {
     let program = workload.program();
     let analysis = ProgramAnalysis::analyze(&program);
@@ -132,7 +121,10 @@ pub fn analyze_workload_serviced<P: lvp_obs::PhaseSink>(
 
     let run_span = |trace: &Trace| {
         let mut job = if P::ENABLED {
-            Some(phases.span(0, &format!("job:{}/analyze/dlvp", workload.name)))
+            Some(
+                exec.phases
+                    .span(0, &format!("job:{}/analyze/dlvp", workload.name)),
+            )
         } else {
             None
         };
@@ -143,7 +135,7 @@ pub fn analyze_workload_serviced<P: lvp_obs::PhaseSink>(
         }
         sim
     };
-    let (sim, hit) = if service.enabled() {
+    let (sim, hit) = if let Some(service) = exec.service.filter(|s| s.enabled()) {
         let doc = DlvpSimSlice::request_doc(
             trace.fingerprint(),
             budget,
@@ -221,78 +213,38 @@ pub fn analyze_workload_serviced<P: lvp_obs::PhaseSink>(
     )
 }
 
-/// Analyzes a batch of workloads (see [`analyze_workload`]).
-pub fn analyze_workloads(
+/// Analyzes a batch of workloads (see [`analyze_workload`]), serially and
+/// in input order.
+///
+/// With `exec` recording phases, the batch runs under a lane-0 `analyze`
+/// span with one `job:<workload>/analyze/dlvp` span per validating
+/// simulation, charged with its cycles and instructions. Behind a result
+/// store, simulations that hit get no `job:` span and charge no work, so a
+/// fully warm run's manifest reports zero jobs — exactly like the
+/// `figs`/`runner` batches. The reports are byte-identical either way.
+/// The batch is serial, so `exec.workers` is not consulted.
+pub fn analyze_workloads<P: lvp_obs::PhaseSink>(
     workloads: &[Workload],
     budget: u64,
     pap: PapConfig,
     dlvp: DlvpConfig,
     xval: &XvalConfig,
+    exec: &Exec<P>,
 ) -> Vec<WorkloadAnalysis> {
-    analyze_workloads_with(
-        workloads,
-        budget,
-        pap,
-        dlvp,
-        xval,
-        &lvp_obs::NullPhases,
-        &crate::telemetry::Progress::off(),
-    )
-}
-
-/// [`analyze_workloads`] with host telemetry: the batch runs under a lane-0
-/// `analyze` span with one `job:<workload>/analyze/dlvp` span per workload,
-/// charged with the validating simulation's cycles and instructions. The
-/// batch stays serial and in input order — the reports are byte-identical
-/// to [`analyze_workloads`]'s.
-pub fn analyze_workloads_with<P: lvp_obs::PhaseSink>(
-    workloads: &[Workload],
-    budget: u64,
-    pap: PapConfig,
-    dlvp: DlvpConfig,
-    xval: &XvalConfig,
-    phases: &P,
-    progress: &crate::telemetry::Progress,
-) -> Vec<WorkloadAnalysis> {
-    analyze_workloads_serviced(
-        workloads,
-        budget,
-        pap,
-        dlvp,
-        xval,
-        phases,
-        progress,
-        &SimService::disabled(),
-    )
-}
-
-/// [`analyze_workloads_with`] behind a [`SimService`]: workloads whose
-/// validating simulation hits the store get no `job:` span and charge no
-/// work, so a fully warm run's manifest reports zero jobs — exactly like
-/// the `figs`/`runner` pools.
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_workloads_serviced<P: lvp_obs::PhaseSink>(
-    workloads: &[Workload],
-    budget: u64,
-    pap: PapConfig,
-    dlvp: DlvpConfig,
-    xval: &XvalConfig,
-    phases: &P,
-    progress: &crate::telemetry::Progress,
-    service: &SimService,
-) -> Vec<WorkloadAnalysis> {
-    let mut span = phases.span(0, "analyze");
+    let mut span = exec.phases.span(0, "analyze");
     let mut executed = (0u64, 0u64, 0u64);
     let results: Vec<WorkloadAnalysis> = workloads
         .iter()
         .map(|w| {
-            let (r, hit) = analyze_workload_serviced(w, budget, pap, dlvp, xval, service, phases);
+            let (r, hit) = analyze_workload_serviced(w, budget, pap, dlvp, xval, exec);
             if !hit {
                 executed.0 += r.sim_cycles;
                 executed.1 += r.sim_instructions;
                 executed.2 += 1;
             }
-            progress.tick(r.sim_cycles);
+            if let Some(p) = exec.progress {
+                p.tick(r.sim_cycles);
+            }
             r
         })
         .collect();

@@ -35,12 +35,12 @@
 
 use lvp_analysis::XvalConfig;
 use lvp_bench::analysis::{
-    analyze_workloads_serviced, depgraph_json, report_json, total_collisions, total_violations,
+    analyze_workloads, depgraph_json, report_json, total_collisions, total_violations,
     WorkloadAnalysis,
 };
-use lvp_bench::{telemetry, Progress};
+use lvp_bench::{telemetry, Exec, Progress};
 use lvp_json::{Json, ToJson};
-use lvp_obs::{NullPhases, PhaseRecorder};
+use lvp_obs::PhaseRecorder;
 use lvp_store::SimService;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -210,28 +210,25 @@ fn run(
     let xval = XvalConfig::default();
     let progress = Progress::new("analyze", workloads.len(), !args.quiet);
     let service = SimService::from_flag(args.store.as_deref()).map_err(|e| e.to_string())?;
+    let exec = Exec::new(1).with_progress(&progress).with_service(&service);
     if args.telemetry.is_none() && args.host_trace.is_none() {
-        return Ok(analyze_workloads_serviced(
+        return Ok(analyze_workloads(
             workloads,
             args.budget,
             pap,
             dlvp_cfg,
             &xval,
-            &NullPhases,
-            &progress,
-            &service,
+            &exec,
         ));
     }
     let rec = PhaseRecorder::new();
-    let results = analyze_workloads_serviced(
+    let results = analyze_workloads(
         workloads,
         args.budget,
         pap,
         dlvp_cfg,
         &xval,
-        &rec,
-        &progress,
-        &service,
+        &exec.with_phases(&rec),
     );
     let config = Json::obj([
         (

@@ -11,9 +11,9 @@
 //!   --samples N            timed samples per cell (clamped to >= 5)
 //!   --warmup-ms N          warm-up wall-clock discarded per cell
 //!   --min-sample-ms N      minimum wall-clock per timed sample
-//!   --inject-slowdown      busy-loop the simcore step (results stay
-//!                          bit-identical; --check must FAIL — proves the
-//!                          gate bites)
+//!   --inject-slowdown      burn a busy loop around every simulated cell
+//!                          (results stay bit-identical; --check must
+//!                          FAIL — proves the gate bites)
 //!   --telemetry PATH       write a host-telemetry manifest of this run
 //!   --host-trace PATH      write a Chrome trace of the host phases
 //!   --validate-manifest P  parse a telemetry manifest and exit (CI smoke:

@@ -28,11 +28,11 @@
 //! an in-memory memo by default (duplicate programs across seeds simulate
 //! once), or the shared on-disk store with `--store DIR`.
 
-use lvp_bench::{par_map, par_map_metered, telemetry, Progress};
+use lvp_bench::{par_map, telemetry, Exec, Progress};
 use lvp_fuzz::minimize::minimize;
 use lvp_fuzz::{campaign_report, plan, run_seed_serviced, OracleConfig, SeedOutcome, SynthProfile};
 use lvp_json::{Json, ToJson};
-use lvp_obs::{NullPhases, PhaseRecorder, PhaseSink};
+use lvp_obs::{PhaseRecorder, PhaseSink};
 use lvp_store::SimService;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -93,19 +93,15 @@ impl Flags {
 /// byte-identical with or without recording.
 fn run_campaign<P: PhaseSink>(
     seed_list: &[u64],
-    jobs: usize,
     profile: &SynthProfile,
     cfg: &OracleConfig,
-    phases: &P,
-    progress: &Progress,
+    exec: &Exec<P>,
     service: &SimService,
 ) -> Vec<SeedOutcome> {
-    let mut span = phases.span(0, "campaign");
-    let outcomes = par_map_metered(
+    let mut span = exec.phases.span(0, "campaign");
+    let outcomes = par_map(
         seed_list,
-        jobs,
-        phases,
-        progress,
+        exec,
         |seed| format!("job:seed{seed}/fuzz/oracle"),
         |o: &SeedOutcome| (0, o.dynamic as u64),
         |&seed| run_seed_serviced(profile, seed, cfg, service),
@@ -197,18 +193,17 @@ fn main() -> ExitCode {
     let progress = Progress::new("fuzz", seed_list.len(), !quiet);
     let want_telemetry = telemetry_path.is_some() || host_trace.is_some();
     let rec = PhaseRecorder::new();
+    let exec = Exec::new(jobs).with_progress(&progress);
     let outcomes = if want_telemetry {
-        run_campaign(&seed_list, jobs, &profile, &cfg, &rec, &progress, &service)
-    } else {
         run_campaign(
             &seed_list,
-            jobs,
             &profile,
             &cfg,
-            &NullPhases,
-            &progress,
+            &exec.with_phases(&rec),
             &service,
         )
+    } else {
+        run_campaign(&seed_list, &profile, &cfg, &exec, &service)
     };
     if want_telemetry {
         let config = Json::obj([
@@ -242,20 +237,26 @@ fn main() -> ExitCode {
         .collect();
 
     if do_minimize && !failing.is_empty() {
-        let minimized = par_map(&failing, jobs, |&seed| {
-            let spec = plan(&profile, seed);
-            minimize(&spec, &cfg).map(|m| {
-                Json::obj([
-                    ("seed", seed.to_json()),
-                    ("instructions", (m.program.instructions() as u64).to_json()),
-                    ("steps", (m.steps as u64).to_json()),
-                    (
-                        "findings",
-                        Json::Array(m.findings.iter().map(|f| f.to_json()).collect()),
-                    ),
-                ])
-            })
-        });
+        let minimized = par_map(
+            &failing,
+            &Exec::new(jobs),
+            |_| String::new(),
+            |_| (0, 0),
+            |&seed| {
+                let spec = plan(&profile, seed);
+                minimize(&spec, &cfg).map(|m| {
+                    Json::obj([
+                        ("seed", seed.to_json()),
+                        ("instructions", (m.program.instructions() as u64).to_json()),
+                        ("steps", (m.steps as u64).to_json()),
+                        (
+                            "findings",
+                            Json::Array(m.findings.iter().map(|f| f.to_json()).collect()),
+                        ),
+                    ])
+                })
+            },
+        );
         if let Json::Object(ref mut fields) = report {
             fields.push((
                 "minimized".into(),

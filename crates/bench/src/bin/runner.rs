@@ -37,12 +37,12 @@
 //! and stderr, never into the results artifact.
 
 use lvp_bench::runner::{
-    check_against_golden, default_jobs, run_matrix_serviced, ConfigVariant, MatrixResults,
-    MatrixSpec, Tolerances,
+    check_against_golden, default_jobs, run_matrix, ConfigVariant, MatrixResults, MatrixSpec,
+    Tolerances,
 };
-use lvp_bench::{telemetry, Progress, SchemeKind};
+use lvp_bench::{telemetry, Exec, Progress, SchemeKind};
 use lvp_json::ToJson;
-use lvp_obs::{NullPhases, PhaseRecorder};
+use lvp_obs::PhaseRecorder;
 use lvp_store::SimService;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -255,17 +255,14 @@ fn run(args: &Args, njobs: usize) -> Result<MatrixResults, String> {
     }
     let progress = Progress::new("runner", njobs, !args.quiet);
     let service = SimService::from_flag(args.store.as_deref()).map_err(|e| e.to_string())?;
+    let exec = Exec::new(args.jobs)
+        .with_progress(&progress)
+        .with_service(&service);
     if args.telemetry.is_none() && args.host_trace.is_none() {
-        return Ok(run_matrix_serviced(
-            &args.spec,
-            args.jobs,
-            &NullPhases,
-            &progress,
-            &service,
-        ));
+        return Ok(run_matrix(&args.spec, &exec));
     }
     let rec = PhaseRecorder::new();
-    let results = run_matrix_serviced(&args.spec, args.jobs, &rec, &progress, &service);
+    let results = run_matrix(&args.spec, &exec.with_phases(&rec));
     let seeds = args.spec.expand().iter().map(|j| j.seed()).collect();
     telemetry::emit(
         "runner",

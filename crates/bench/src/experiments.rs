@@ -157,32 +157,13 @@ impl SchemeOutcome {
 /// matter which thread runs it or how many run concurrently — the property
 /// the parallel experiment runner is built on.
 pub fn run_scheme(trace: &Trace, scheme: SchemeKind, cfg: &SimConfig) -> SchemeOutcome {
-    run_scheme_spun(trace, scheme, cfg, 0)
-}
-
-/// [`run_scheme`] with a deliberate host-side busy-loop of `spin` iterations
-/// per simulated instruction (`Core::set_host_spin`). The spin burns only
-/// wall-clock — simulated state, stats, and serialized outcomes are
-/// bit-identical to `spin == 0` — which is exactly what the throughput
-/// regression gate's `--inject-slowdown` mode needs: a provable slowdown
-/// with provably unchanged results.
-pub fn run_scheme_spun(
-    trace: &Trace,
-    scheme: SchemeKind,
-    cfg: &SimConfig,
-    spin: u32,
-) -> SchemeOutcome {
     // Sampled dispatch: a config carrying a SampleSpec runs the tiered
     // fast-forward driver instead of the flat cycle-level pass. Configs
     // without one (every committed artifact) take the unchanged path below.
-    if let Some(spec) = cfg.sample {
-        let (stats, s) =
-            lvp_uarch::run_sampled_trace(&cfg.core, scheme.build(cfg), trace, spec, spin);
-        return SchemeOutcome::collect(scheme, stats, &s);
-    }
-    let mut core = Core::new(cfg.core.clone(), scheme.build(cfg));
-    core.set_host_spin(spin);
-    let (stats, s) = core.run_with_scheme(trace);
+    let (stats, s) = match cfg.sample {
+        Some(spec) => lvp_uarch::run_sampled_trace(&cfg.core, scheme.build(cfg), trace, spec),
+        None => Core::new(cfg.core.clone(), scheme.build(cfg)).run_with_scheme(trace),
+    };
     SchemeOutcome::collect(scheme, stats, &s)
 }
 
@@ -223,107 +204,11 @@ impl ComparisonRow {
     pub fn speedup(&self, i: usize) -> f64 {
         self.schemes[i].stats.speedup_over(&self.baseline.stats)
     }
-
-    /// Runs the standard CAP/VTAGE/DLVP comparison on one workload.
-    pub fn standard(w: &lvp_workloads::Workload, budget: u64) -> ComparisonRow {
-        Self::with_schemes(
-            w,
-            budget,
-            &[SchemeKind::Cap, SchemeKind::Vtage, SchemeKind::Dlvp],
-        )
-    }
-
-    /// Runs a custom scheme list on one workload under the paper default
-    /// configuration.
-    pub fn with_schemes(
-        w: &lvp_workloads::Workload,
-        budget: u64,
-        schemes: &[SchemeKind],
-    ) -> ComparisonRow {
-        let trace = w.trace(budget);
-        let cfg = SimConfig::default();
-        let baseline = run_scheme(&trace, SchemeKind::Baseline, &cfg);
-        let schemes = schemes
-            .iter()
-            .map(|&s| run_scheme(&trace, s, &cfg))
-            .collect();
-        ComparisonRow {
-            workload: w.name.to_string(),
-            suite: w.suite.to_string(),
-            baseline,
-            schemes,
-        }
-    }
-}
-
-impl ToJson for ComparisonRow {
-    /// Includes the baseline, every scheme outcome, and per-scheme speedups.
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("workload", self.workload.to_json()),
-            ("suite", self.suite.to_json()),
-            ("baseline", self.baseline.to_json()),
-            (
-                "schemes",
-                Json::Array(
-                    self.schemes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, s)| {
-                            let mut j = match s.to_json() {
-                                Json::Object(pairs) => pairs,
-                                _ => unreachable!("SchemeOutcome serializes to an object"),
-                            };
-                            j.push(("speedup".to_string(), self.speedup(i).to_json()));
-                            Json::Object(j)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// Runs a scheme under oracle-replay recovery (Figure 10) — the
-/// `oracle_replay` preset.
-pub fn run_with_replay(trace: &Trace, scheme: SchemeKind) -> SchemeOutcome {
-    let cfg = SimConfig::preset("oracle_replay").expect("known preset");
-    run_scheme(trace, scheme, &cfg)
-}
-
-/// Runs DLVP with prefetch-on-probe-miss toggled (Figure 5): the `default`
-/// preset against `no_dlvp_prefetch`.
-pub fn run_dlvp_prefetch(trace: &Trace, prefetch: bool) -> SchemeOutcome {
-    let name = if prefetch {
-        "default"
-    } else {
-        "no_dlvp_prefetch"
-    };
-    let cfg = SimConfig::preset(name).expect("known preset");
-    run_scheme(trace, SchemeKind::Dlvp, &cfg)
-}
-
-/// Parses the per-workload budget from argv (first positional argument).
-pub fn budget_from_args() -> u64 {
-    std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(lvp_workloads::DEFAULT_BUDGET)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn standard_row_runs_all_schemes() {
-        let w = lvp_workloads::by_name("aifirf").expect("workload");
-        let row = ComparisonRow::standard(&w, 10_000);
-        assert_eq!(row.schemes.len(), 3);
-        assert_eq!(row.schemes[2].scheme, SchemeKind::Dlvp);
-        assert!(row.speedup(2) > 0.5 && row.speedup(2) < 2.0);
-        assert!(row.baseline.stats.cycles > 0);
-    }
 
     #[test]
     fn outcome_roundtrips_through_json_byte_exactly() {
@@ -352,7 +237,8 @@ mod tests {
     fn replay_never_flushes() {
         let w = lvp_workloads::by_name("viterbi").expect("workload");
         let t = w.trace(20_000);
-        let o = run_with_replay(&t, SchemeKind::Cap);
+        let cfg = SimConfig::preset("oracle_replay").expect("known preset");
+        let o = run_scheme(&t, SchemeKind::Cap, &cfg);
         assert_eq!(o.stats.vp_flushes, 0);
     }
 

@@ -21,7 +21,6 @@
 
 pub mod analysis;
 pub mod experiments;
-pub mod microbench;
 pub mod perf;
 pub mod report;
 pub mod runner;
@@ -30,19 +29,12 @@ pub mod service;
 pub mod specs;
 pub mod telemetry;
 
-pub use experiments::{
-    budget_from_args, run_scheme, run_scheme_spun, run_scheme_traced, ComparisonRow, SchemeKind,
-    SchemeOutcome,
-};
+pub use experiments::{run_scheme, run_scheme_traced, SchemeKind, SchemeOutcome};
 pub use runner::{
-    default_jobs, diff_matrices, par_map, par_map_metered, run_job, run_matrix,
-    run_matrix_serviced, run_matrix_with, ConfigVariant, Drift, JobResult, JobSpec, MatrixResults,
-    MatrixSpec, Tolerances,
+    default_jobs, diff_matrices, run_matrix, ConfigVariant, Drift, JobResult, JobSpec,
+    MatrixResults, MatrixSpec, Tolerances,
 };
 pub use serve::{client_run_matrix, execute_batch, serve, BatchRequest, ServeConfig, ServeStats};
-pub use service::{par_map_cached, sim_request_doc, CachedBatch, ExecutedWork};
-pub use specs::{
-    run_specs, run_specs_serviced, run_specs_with, ExperimentSpec, RenderedSpec, ResultSet,
-    SimRequest, SimScheme,
-};
+pub use service::{par_map, sim_request_doc, Exec};
+pub use specs::{run_specs, run_specs_with, ExperimentSpec, RenderedSpec, ResultSet};
 pub use telemetry::{config_hash, Manifest, PoolStats, Progress};

@@ -12,7 +12,7 @@
 //!   seed range of the `smoke` profile.
 //!
 //! Each cell is measured as **median-of-N (N ≥ 5) per-run wall time after
-//! a discarded warm-up** ([`Bench::measure`]): the warm-up settles caches
+//! a discarded warm-up** ([`BenchPolicy`]): the warm-up settles caches
 //! and the allocator, and the median is robust to one-off scheduler noise
 //! that would whipsaw a mean-based gate. `bench --check` compares current
 //! medians against the committed baseline under a relative tolerance band
@@ -23,23 +23,24 @@
 //! are compared **exactly**: drift there is a behaviour change wearing a
 //! benchmark's clothes, and fails the gate at any speed.
 //!
-//! `--inject-slowdown` threads a busy-loop into the core step
-//! ([`crate::run_scheme_spun`]) to prove the gate bites: results stay
-//! bit-identical, wall time multiplies, `--check` must fail.
+//! `--inject-slowdown` burns a busy-loop around every measured call
+//! ([`spun`]) to prove the gate bites: results stay bit-identical, wall
+//! time multiplies, `--check` must fail. The burn lives here, at the bench
+//! layer; the simulator itself carries no slowdown hook.
 
 use crate::analysis::analyze_workload;
-use crate::experiments::run_scheme_spun;
-use crate::microbench::Bench;
+use crate::experiments::run_scheme;
 use crate::service::sim_request_doc;
 use crate::{SchemeKind, SchemeOutcome};
 use dlvp::{DlvpConfig, PapConfig};
 use lvp_analysis::XvalConfig;
 use lvp_fuzz::{run_seed, OracleConfig, SynthProfile};
 use lvp_json::{Json, ToJson};
-use lvp_obs::PhaseSink;
+use lvp_obs::{PhaseGuard, PhaseSink};
 use lvp_store::{request_key, Store};
-use lvp_uarch::{CoreConfig, ExecutionTier, FunctionalTier, SampleSpec, SimConfig, SimpleTier};
-use std::time::Duration;
+use lvp_trace::Trace;
+use lvp_uarch::{CoreConfig, FunctionalTier, SampleSpec, SimConfig, SimStats, SimpleTier};
+use std::time::{Duration, Instant};
 
 /// The simcore phase's workload list (≥ 6, spanning suites and behaviours).
 pub const SIMCORE_WORKLOADS: [&str; 6] = [
@@ -100,6 +101,20 @@ pub const DEFAULT_TOL_REL: f64 = 1.0;
 /// tolerance band without stretching the run unreasonably.
 pub const INJECT_SPIN: u32 = 2_500;
 
+/// Runs `f`, then burns `spin` busy-loop iterations per instruction of
+/// its `instructions`-long input: the `--inject-slowdown` wall-clock tax.
+/// The burn reads and writes nothing `f` computed, so results stay
+/// bit-identical; `spin == 0` is just `f()`.
+pub fn spun<T>(spin: u32, instructions: usize, f: impl FnOnce() -> T) -> T {
+    let out = f();
+    let mut x = 0u64;
+    for i in 0..spin as u64 * instructions as u64 {
+        x = std::hint::black_box(x ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    }
+    std::hint::black_box(x);
+    out
+}
+
 /// Measurement policy for every cell: median-of-N with warm-up discard.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchPolicy {
@@ -129,11 +144,38 @@ impl BenchPolicy {
         self
     }
 
-    fn bench(&self, name: String) -> Bench {
-        Bench::new(name)
-            .samples(self.samples)
-            .warmup(self.warmup)
-            .min_sample_time(self.min_sample)
+    /// Measures `f`: warm-up iterations (discarded — caches, branch
+    /// predictors and the allocator settle first) that also pick an
+    /// iteration count reaching `min_sample` per sample, then `samples`
+    /// timed samples of that many iterations each.
+    fn measure<T>(&self, mut f: impl FnMut() -> T) -> Measurement {
+        let warm_start = Instant::now();
+        let mut warm_iters = 0u64;
+        let mut one = Duration::ZERO;
+        while warm_start.elapsed() < self.warmup || warm_iters == 0 {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            one = t.elapsed();
+            warm_iters += 1;
+        }
+        let per_iter = one.max(Duration::from_nanos(1));
+        let iters = (self.min_sample.as_nanos() / per_iter.as_nanos()).max(1) as u64;
+
+        let mut times: Vec<Duration> = (0..self.samples.max(1))
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(f());
+                }
+                t.elapsed() / iters as u32
+            })
+            .collect();
+        times.sort_unstable();
+        Measurement {
+            median: times[times.len() / 2],
+            min: times[0],
+            max: times[times.len() - 1],
+        }
     }
 
     fn to_json(self) -> Json {
@@ -148,6 +190,15 @@ impl BenchPolicy {
             ("warmup_discarded", true.to_json()),
         ])
     }
+}
+
+/// The result of one [`BenchPolicy::measure`]: median-of-N per-iteration
+/// wall time with the sample extremes (warm-up iterations discarded).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Measurement {
+    median: Duration,
+    min: Duration,
+    max: Duration,
 }
 
 /// One benchmark cell: identity, exact deterministic counters, and the
@@ -167,6 +218,38 @@ pub struct BenchRow {
 }
 
 impl BenchRow {
+    /// A measured cell whose work was `sim_cycles` simulated cycles.
+    fn timed(
+        (phase, workload, scheme): (&str, &str, &str),
+        budget: u64,
+        det: Vec<(&str, u64)>,
+        m: Measurement,
+        sim_cycles: u64,
+    ) -> BenchRow {
+        let median_ns = m.median.as_nanos() as u64;
+        BenchRow {
+            phase: phase.into(),
+            workload: workload.into(),
+            scheme: scheme.into(),
+            budget,
+            det: det.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+            median_ns,
+            min_ns: m.min.as_nanos() as u64,
+            max_ns: m.max.as_nanos() as u64,
+            sim_cycles_per_sec: lvp_obs::sim_cycles_per_sec(sim_cycles, median_ns),
+        }
+    }
+
+    /// A measured simulation cell at the simcore budget, counted by its
+    /// `stats`.
+    fn timed_sim(id: (&str, &str, &str), stats: &SimStats, m: Measurement) -> BenchRow {
+        let det = vec![
+            ("instructions", stats.instructions),
+            ("sim_cycles", stats.cycles),
+        ];
+        BenchRow::timed(id, SIMCORE_BUDGET, det, m, stats.cycles)
+    }
+
     /// Unique row identity within the matrix.
     pub fn key(&self) -> String {
         format!("{}/{}/{}", self.phase, self.workload, self.scheme)
@@ -252,136 +335,99 @@ impl BenchRow {
     }
 }
 
-/// One tier benchmark cell: phase name, scheme label, and the measured
-/// closure (which borrows the tier and the trace).
-type TierCell<'a> = (
-    &'static str,
-    String,
-    Box<dyn FnMut() -> lvp_uarch::SimStats + 'a>,
-);
+/// The benchmark matrix under construction: measured rows, plus the work
+/// of the current phase's simulated cells.
+struct Cells<'a, P> {
+    policy: BenchPolicy,
+    phases: &'a P,
+    spin: u32,
+    rows: Vec<BenchRow>,
+    work: (u64, u64),
+}
+
+impl<P: PhaseSink> Cells<'_, P> {
+    /// Measures one simulated cell at the simcore budget: a first run,
+    /// inside a `job:<workload>/<phase>/<scheme>` span charged with its
+    /// work, gives the deterministic counters; then the median-of-N. Every
+    /// call carries the `spin` burn.
+    fn sim(&mut self, id: (&str, &str, &str), trace: &Trace, mut run: impl FnMut() -> SimStats) {
+        let (phase, workload, scheme) = id;
+        let mut run = || spun(self.spin, trace.len(), &mut run);
+        let label = format!("job:{workload}/{phase}/{scheme}");
+        let mut cell = P::ENABLED.then(|| self.phases.span(0, &label));
+        let stats = run();
+        let m = self.policy.measure(&mut run);
+        if let Some(c) = cell.as_mut() {
+            c.charge(stats.cycles, stats.instructions, 1);
+            c.finish();
+        }
+        self.work.0 += stats.cycles;
+        self.work.1 += stats.instructions;
+        self.rows.push(BenchRow::timed_sim(id, &stats, m));
+    }
+
+    /// Closes a phase span, charged with the phase's work and `jobs`.
+    fn finish_phase(&mut self, mut span: PhaseGuard<'_, P>, jobs: usize) {
+        let (sim_cycles, instructions) = std::mem::take(&mut self.work);
+        span.charge(sim_cycles, instructions, jobs as u64);
+        span.finish();
+    }
+}
 
 /// Runs the full benchmark matrix serially (measurement never shares the
 /// machine with other jobs of the same run) and returns one row per cell.
-/// `spin > 0` injects the deliberate host-side slowdown into the simcore
-/// phase — deterministic fields are unaffected by construction.
+/// `spin > 0` injects the deliberate host-side slowdown ([`spun`]) around
+/// every simulated cell — deterministic fields are unaffected by
+/// construction.
 pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P) -> Vec<BenchRow> {
     let policy = policy.normalized();
-    let mut rows = Vec::new();
+    let mut cells = Cells {
+        policy,
+        phases,
+        spin,
+        rows: Vec::new(),
+        work: (0, 0),
+    };
     let cfg = SimConfig::default();
-
-    let mut span = phases.span(0, "bench:simcore");
-    let (mut total_cycles, mut total_instr) = (0u64, 0u64);
-    for name in SIMCORE_WORKLOADS {
+    let build_trace = |name: &str| {
         let w = lvp_workloads::by_name(name).expect("fixed benchmark workload");
-        let trace = phases.time(0, "build_trace", || w.trace(SIMCORE_BUDGET));
+        phases.time(0, "build_trace", || w.trace(SIMCORE_BUDGET))
+    };
+
+    let span = phases.span(0, "bench:simcore");
+    for name in SIMCORE_WORKLOADS {
+        let trace = build_trace(name);
         for scheme in SIMCORE_SCHEMES {
-            let mut cell = if P::ENABLED {
-                Some(phases.span(0, &format!("job:{}/simcore/{}", name, scheme.name())))
-            } else {
-                None
-            };
-            let outcome = run_scheme_spun(&trace, scheme, &cfg, spin);
-            let m = policy
-                .bench(format!("simcore_{name}_{}", scheme.label()))
-                .measure(|| std::hint::black_box(run_scheme_spun(&trace, scheme, &cfg, spin)));
-            let median_ns = m.median.as_nanos() as u64;
-            if let Some(c) = cell.as_mut() {
-                c.charge(outcome.stats.cycles, outcome.stats.instructions, 1);
-                c.finish();
-            }
-            total_cycles += outcome.stats.cycles;
-            total_instr += outcome.stats.instructions;
-            rows.push(BenchRow {
-                phase: "simcore".into(),
-                workload: name.into(),
-                scheme: outcome.scheme.name().into(),
-                budget: SIMCORE_BUDGET,
-                det: vec![
-                    ("instructions".into(), outcome.stats.instructions),
-                    ("sim_cycles".into(), outcome.stats.cycles),
-                ],
-                median_ns,
-                min_ns: m.min.as_nanos() as u64,
-                max_ns: m.max.as_nanos() as u64,
-                sim_cycles_per_sec: lvp_obs::sim_cycles_per_sec(outcome.stats.cycles, median_ns),
+            cells.sim(("simcore", name, scheme.name()), &trace, || {
+                run_scheme(&trace, scheme, &cfg).stats
             });
         }
     }
-    span.charge(total_cycles, total_instr, rows.len() as u64);
-    span.finish();
+    cells.finish_phase(span, SIMCORE_WORKLOADS.len() * SIMCORE_SCHEMES.len());
 
     // Tier cells: same workloads, alternative execution tiers. The spin
-    // reaches every tier (the functional tier included), so
+    // wraps every tier (the functional tier included), so
     // `--inject-slowdown` provably trips the gate on the fastest path too.
-    let mut span = phases.span(0, "bench:tiers");
-    let (mut tier_cycles, mut tier_instr) = (0u64, 0u64);
+    let span = phases.span(0, "bench:tiers");
     let sampled_cfg = SimConfig {
         sample: Some(TIER_SAMPLE),
         ..SimConfig::default()
     };
     for name in SIMCORE_WORKLOADS {
-        let w = lvp_workloads::by_name(name).expect("fixed benchmark workload");
-        let trace = phases.time(0, "build_trace", || w.trace(SIMCORE_BUDGET));
-        let mut functional = FunctionalTier::new();
-        functional.set_host_spin(spin);
-        let mut simple = SimpleTier::new(CoreConfig::default());
-        simple.set_host_spin(spin);
-        let cells: [TierCell<'_>; 3] = [
-            (
-                "tier_functional",
-                "functional".into(),
-                Box::new(|| functional.run(&trace)),
-            ),
-            (
-                "tier_simple",
-                "simple".into(),
-                Box::new(|| simple.run(&trace)),
-            ),
-            (
-                "tier_sampled",
-                SchemeKind::Dlvp.name().into(),
-                Box::new(|| run_scheme_spun(&trace, SchemeKind::Dlvp, &sampled_cfg, spin).stats),
-            ),
-        ];
-        for (phase, scheme, mut run) in cells {
-            let mut cell = if P::ENABLED {
-                Some(phases.span(0, &format!("job:{}/{}/{}", name, phase, scheme)))
-            } else {
-                None
-            };
-            let stats = run();
-            let m = policy
-                .bench(format!("{phase}_{name}"))
-                .measure(|| std::hint::black_box(run()));
-            let median_ns = m.median.as_nanos() as u64;
-            if let Some(c) = cell.as_mut() {
-                c.charge(stats.cycles, stats.instructions, 1);
-                c.finish();
-            }
-            tier_cycles += stats.cycles;
-            tier_instr += stats.instructions;
-            rows.push(BenchRow {
-                phase: phase.into(),
-                workload: name.into(),
-                scheme,
-                budget: SIMCORE_BUDGET,
-                det: vec![
-                    ("instructions".into(), stats.instructions),
-                    ("sim_cycles".into(), stats.cycles),
-                ],
-                median_ns,
-                min_ns: m.min.as_nanos() as u64,
-                max_ns: m.max.as_nanos() as u64,
-                sim_cycles_per_sec: lvp_obs::sim_cycles_per_sec(stats.cycles, median_ns),
-            });
-        }
+        let trace = build_trace(name);
+        let simple = SimpleTier::new(CoreConfig::default());
+        let dlvp = SchemeKind::Dlvp;
+        cells.sim(("tier_functional", name, "functional"), &trace, || {
+            FunctionalTier.run(&trace)
+        });
+        cells.sim(("tier_simple", name, "simple"), &trace, || {
+            simple.run(&trace)
+        });
+        cells.sim(("tier_sampled", name, dlvp.name()), &trace, || {
+            run_scheme(&trace, dlvp, &sampled_cfg).stats
+        });
     }
-    span.charge(
-        tier_cycles,
-        tier_instr,
-        (SIMCORE_WORKLOADS.len() * 3) as u64,
-    );
-    span.finish();
+    cells.finish_phase(span, SIMCORE_WORKLOADS.len() * TIER_PHASES.len());
 
     // Store-path cells: cold-miss (evict, lookup, simulate, record) vs
     // warm-hit (lookup + payload decode, zero simulation) through the real
@@ -389,13 +435,11 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
     // warm cell's deterministic counters come from the *decoded* payload,
     // so exact comparison against the baseline doubles as a round-trip
     // check of the stored outcome.
-    let mut span = phases.span(0, "bench:store");
+    let span = phases.span(0, "bench:store");
     let store_root = std::env::temp_dir().join(format!("lvp-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_root);
-    let (mut store_cycles, mut store_instr) = (0u64, 0u64);
     for name in SIMCORE_WORKLOADS {
-        let w = lvp_workloads::by_name(name).expect("fixed benchmark workload");
-        let trace = phases.time(0, "build_trace", || w.trace(SIMCORE_BUDGET));
+        let trace = build_trace(name);
         let scheme = SchemeKind::Dlvp;
         let store = Store::open(store_root.join(name)).expect("open benchmark store");
         let key = request_key(&sim_request_doc(
@@ -405,31 +449,19 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
             &cfg,
         ));
 
-        let outcome = run_scheme_spun(&trace, scheme, &cfg, spin);
-        let m = policy.bench(format!("store_cold_{name}")).measure(|| {
+        let run = || spun(spin, trace.len(), || run_scheme(&trace, scheme, &cfg));
+        let outcome = run();
+        let m = cells.policy.measure(|| {
             store.gc(Some(0)).expect("evict benchmark store");
             assert!(store.get(&key).expect("store get").is_none());
-            let o = run_scheme_spun(&trace, scheme, &cfg, spin);
+            let o = run();
             store.put(&key, &o.to_json()).expect("store put");
             std::hint::black_box(o);
         });
-        let median_ns = m.median.as_nanos() as u64;
-        store_cycles += outcome.stats.cycles;
-        store_instr += outcome.stats.instructions;
-        rows.push(BenchRow {
-            phase: "store_cold".into(),
-            workload: name.into(),
-            scheme: scheme.name().into(),
-            budget: SIMCORE_BUDGET,
-            det: vec![
-                ("instructions".into(), outcome.stats.instructions),
-                ("sim_cycles".into(), outcome.stats.cycles),
-            ],
-            median_ns,
-            min_ns: m.min.as_nanos() as u64,
-            max_ns: m.max.as_nanos() as u64,
-            sim_cycles_per_sec: lvp_obs::sim_cycles_per_sec(outcome.stats.cycles, median_ns),
-        });
+        cells.work.0 += outcome.stats.cycles;
+        cells.work.1 += outcome.stats.instructions;
+        let id = ("store_cold", name, scheme.name());
+        cells.rows.push(BenchRow::timed_sim(id, &outcome.stats, m));
 
         // The cold cell's last iteration left the entry in place — the
         // warm cell hits it on every lookup.
@@ -438,7 +470,7 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
             .expect("store get")
             .and_then(|p| SchemeOutcome::from_json(&p).ok())
             .expect("warm entry present and decodable");
-        let m = policy.bench(format!("store_warm_{name}")).measure(|| {
+        let m = cells.policy.measure(|| {
             let payload = store
                 .get(&key)
                 .expect("store get")
@@ -446,29 +478,11 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
             let o = SchemeOutcome::from_json(&payload).expect("payload decodes");
             std::hint::black_box(o);
         });
-        let median_ns = m.median.as_nanos() as u64;
-        rows.push(BenchRow {
-            phase: "store_warm".into(),
-            workload: name.into(),
-            scheme: scheme.name().into(),
-            budget: SIMCORE_BUDGET,
-            det: vec![
-                ("instructions".into(), decoded.stats.instructions),
-                ("sim_cycles".into(), decoded.stats.cycles),
-            ],
-            median_ns,
-            min_ns: m.min.as_nanos() as u64,
-            max_ns: m.max.as_nanos() as u64,
-            sim_cycles_per_sec: lvp_obs::sim_cycles_per_sec(decoded.stats.cycles, median_ns),
-        });
+        let id = ("store_warm", name, scheme.name());
+        cells.rows.push(BenchRow::timed_sim(id, &decoded.stats, m));
     }
     let _ = std::fs::remove_dir_all(&store_root);
-    span.charge(
-        store_cycles,
-        store_instr,
-        (SIMCORE_WORKLOADS.len() * STORE_PHASES.len()) as u64,
-    );
-    span.finish();
+    cells.finish_phase(span, SIMCORE_WORKLOADS.len() * STORE_PHASES.len());
 
     let mut span = phases.span(0, "bench:analyze");
     let w = lvp_workloads::by_name(ANALYZE_WORKLOAD).expect("fixed benchmark workload");
@@ -479,39 +493,27 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
         DlvpConfig::default(),
         &XvalConfig::default(),
     );
-    let m = policy
-        .bench(format!("analyze_{ANALYZE_WORKLOAD}"))
-        .measure(|| {
-            std::hint::black_box(analyze_workload(
-                &w,
-                ANALYZE_BUDGET,
-                PapConfig::default(),
-                DlvpConfig::default(),
-                &XvalConfig::default(),
-            ))
-        });
-    let median_ns = m.median.as_nanos() as u64;
+    let m = cells.policy.measure(|| {
+        std::hint::black_box(analyze_workload(
+            &w,
+            ANALYZE_BUDGET,
+            PapConfig::default(),
+            DlvpConfig::default(),
+            &XvalConfig::default(),
+        ))
+    });
     span.charge(one.sim_cycles, one.sim_instructions, 1);
     span.finish();
-    rows.push(BenchRow {
-        phase: "analyze".into(),
-        workload: ANALYZE_WORKLOAD.into(),
-        scheme: "dlvp_xval".into(),
-        budget: ANALYZE_BUDGET,
-        det: vec![
-            ("loads".into(), one.loads.len() as u64),
-            (
-                "must_edges".into(),
-                one.dep.graph.must_edges().count() as u64,
-            ),
-            ("violations".into(), one.violations.len() as u64),
-            ("sim_cycles".into(), one.sim_cycles),
-        ],
-        median_ns,
-        min_ns: m.min.as_nanos() as u64,
-        max_ns: m.max.as_nanos() as u64,
-        sim_cycles_per_sec: lvp_obs::sim_cycles_per_sec(one.sim_cycles, median_ns),
-    });
+    let det = vec![
+        ("loads", one.loads.len() as u64),
+        ("must_edges", one.dep.graph.must_edges().count() as u64),
+        ("violations", one.violations.len() as u64),
+        ("sim_cycles", one.sim_cycles),
+    ];
+    let id = ("analyze", ANALYZE_WORKLOAD, "dlvp_xval");
+    cells
+        .rows
+        .push(BenchRow::timed(id, ANALYZE_BUDGET, det, m, one.sim_cycles));
 
     let mut span = phases.span(0, "bench:fuzz_oracle");
     let profile = SynthProfile::preset(FUZZ_PROFILE).expect("fixed benchmark profile");
@@ -524,36 +526,20 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
     let outcomes = run_all();
     let dynamic: u64 = outcomes.iter().map(|o| o.dynamic as u64).sum();
     let hash_xor = outcomes.iter().fold(0u64, |h, o| h ^ o.program_hash);
-    let m = policy
-        .bench(format!("fuzz_{FUZZ_PROFILE}_x{FUZZ_SEEDS}"))
-        .measure(|| std::hint::black_box(run_all()));
-    let median_ns = m.median.as_nanos() as u64;
+    let m = cells.policy.measure(|| std::hint::black_box(run_all()));
     span.charge(0, dynamic, FUZZ_SEEDS);
     span.finish();
-    rows.push(BenchRow {
-        phase: "fuzz_oracle".into(),
-        workload: FUZZ_PROFILE.into(),
-        scheme: "differential".into(),
-        budget: FUZZ_SEEDS,
-        det: vec![
-            ("dynamic_instructions".into(), dynamic),
-            (
-                "findings".into(),
-                outcomes.iter().map(|o| o.findings.len() as u64).sum(),
-            ),
-            (
-                "soundness_defects".into(),
-                outcomes.iter().map(|o| o.soundness.len() as u64).sum(),
-            ),
-            ("program_hash_xor".into(), hash_xor),
-        ],
-        median_ns,
-        min_ns: m.min.as_nanos() as u64,
-        max_ns: m.max.as_nanos() as u64,
-        sim_cycles_per_sec: 0.0,
-    });
+    let count = |n: fn(&lvp_fuzz::SeedOutcome) -> usize| outcomes.iter().map(n).sum::<usize>();
+    let det = vec![
+        ("dynamic_instructions", dynamic),
+        ("findings", count(|o| o.findings.len()) as u64),
+        ("soundness_defects", count(|o| o.soundness.len()) as u64),
+        ("program_hash_xor", hash_xor),
+    ];
+    let id = ("fuzz_oracle", FUZZ_PROFILE, "differential");
+    cells.rows.push(BenchRow::timed(id, FUZZ_SEEDS, det, m, 0));
 
-    rows
+    cells.rows
 }
 
 /// Geometric-mean wall-clock speedup of each tier phase over the
@@ -857,6 +843,23 @@ mod tests {
         // geomean(8x, 2x) = 4x
         assert!((sp[0].1 - 4.0).abs() < 1e-9, "got {}", sp[0].1);
         assert!(tier_speedups(&[]).is_empty());
+    }
+
+    #[test]
+    fn measure_reports_ordered_positive_times() {
+        let policy = BenchPolicy {
+            samples: 3,
+            warmup: Duration::from_millis(1),
+            min_sample: Duration::from_millis(1),
+        };
+        // The workload must defeat const-folding, or the measured median
+        // can round to zero in release builds.
+        let m = policy.measure(|| {
+            (0..std::hint::black_box(10_000u64))
+                .fold(0u64, |a, b| a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        });
+        assert!(m.median > Duration::ZERO);
+        assert!(m.min <= m.median && m.median <= m.max);
     }
 
     #[test]

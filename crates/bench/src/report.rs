@@ -1,4 +1,4 @@
-//! Text-report helpers shared by the figure binaries.
+//! Text-report helpers shared by the figure renders.
 
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
@@ -14,14 +14,6 @@ pub fn speedup_pct(s: f64) -> String {
 pub fn bar(value: f64, scale: f64, width: usize) -> String {
     let n = ((value / scale) * width as f64).round().max(0.0) as usize;
     "#".repeat(n.min(width))
-}
-
-/// Prints a standard experiment header.
-pub fn header(id: &str, title: &str, budget: u64) {
-    println!("================================================================");
-    println!("{id}: {title}");
-    println!("per-workload budget: {budget} dynamic instructions");
-    println!("================================================================");
 }
 
 /// Geometric mean of speedups (the conventional aggregate).

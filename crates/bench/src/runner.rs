@@ -6,10 +6,11 @@
 //!
 //! * a [`MatrixSpec`] expands to a flat job list — (workload ×
 //!   [`ConfigVariant`] × [`SchemeKind`]) at a fixed instruction budget;
-//! * [`run_matrix`] executes jobs on a `std::thread::scope` worker pool.
-//!   Worker count comes from `--jobs`/[`default_jobs`]; results land in
-//!   their job-index slot, so the output order — and the serialized bytes —
-//!   are identical for 1 worker and 8;
+//! * [`run_matrix`] executes jobs through the shared batch engine
+//!   ([`crate::service::run_batch`]). Worker count comes from
+//!   `--jobs`/[`default_jobs`]; results land in their job-index slot, so
+//!   the output order — and the serialized bytes — are identical for 1
+//!   worker and 8;
 //! * every job is a **pure function of its spec**: traces are rebuilt from
 //!   per-kernel constant seeds, predictor FPC/LFSR seeds are per-entry
 //!   constants, and no state is shared between jobs. The recorded per-job
@@ -21,14 +22,11 @@
 //!   beyond configurable [`Tolerances`].
 
 use crate::experiments::{run_scheme, SchemeKind, SchemeOutcome};
-use crate::service::{par_map_cached, sim_request_doc};
-use crate::telemetry::Progress;
+use crate::service::{run_batch, sim_request_doc, Exec, SimJob};
 use lvp_json::{Json, ToJson};
-use lvp_obs::{NullPhases, PhaseSink};
-use lvp_store::SimService;
+use lvp_obs::PhaseSink;
+use lvp_trace::Trace;
 use lvp_uarch::{SampleSpec, SimConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A named, serializable configuration override. Variants rather than
 /// closures so job specs can be parsed from the CLI, hashed into seeds, and
@@ -124,6 +122,56 @@ impl JobSpec {
         eat(&self.budget.to_le_bytes());
         h
     }
+
+    /// The configuration this job runs under: its variant's preset, with
+    /// the job's sampling spec.
+    pub fn config(&self) -> SimConfig {
+        let mut cfg = self.variant.config();
+        cfg.sample = self.sample;
+        cfg
+    }
+}
+
+impl SimJob for JobSpec {
+    type Output = SchemeOutcome;
+
+    fn trace_id(&self) -> (&str, u64) {
+        (&self.workload, self.budget)
+    }
+
+    fn label(&self) -> String {
+        format!(
+            "job:{}/{}/{}",
+            self.workload,
+            self.variant.name(),
+            self.scheme.name()
+        )
+    }
+
+    fn request_doc(&self, trace_fingerprint: u64) -> Json {
+        sim_request_doc(
+            trace_fingerprint,
+            self.budget,
+            self.scheme.name(),
+            &self.config(),
+        )
+    }
+
+    fn run(&self, trace: &Trace) -> SchemeOutcome {
+        run_scheme(trace, self.scheme, &self.config())
+    }
+
+    fn encode(outcome: &SchemeOutcome) -> Json {
+        outcome.to_json()
+    }
+
+    fn decode(payload: &Json) -> Option<SchemeOutcome> {
+        SchemeOutcome::from_json(payload).ok()
+    }
+
+    fn work(outcome: &SchemeOutcome) -> (u64, u64) {
+        outcome.stats.sim_work()
+    }
 }
 
 /// The job matrix: the cartesian product of workloads, variants and schemes
@@ -218,6 +266,21 @@ pub struct JobResult {
     pub outcome: SchemeOutcome,
 }
 
+impl JobResult {
+    /// Files `outcome` under `spec`, with the job's seed and its
+    /// workload's suite (empty for an unknown workload).
+    pub fn new(spec: JobSpec, outcome: SchemeOutcome) -> JobResult {
+        JobResult {
+            seed: spec.seed(),
+            suite: lvp_workloads::by_name(&spec.workload)
+                .map(|w| w.suite.to_string())
+                .unwrap_or_default(),
+            spec,
+            outcome,
+        }
+    }
+}
+
 impl ToJson for JobResult {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -260,21 +323,6 @@ impl MatrixResults {
         }
         std::fs::write(path, self.to_json().pretty())
     }
-
-    /// Finds one job's outcome.
-    pub fn outcome(
-        &self,
-        workload: &str,
-        scheme: SchemeKind,
-        variant: ConfigVariant,
-    ) -> Option<&SchemeOutcome> {
-        self.jobs
-            .iter()
-            .find(|j| {
-                j.spec.workload == workload && j.spec.scheme == scheme && j.spec.variant == variant
-            })
-            .map(|j| &j.outcome)
-    }
 }
 
 /// Default worker count: `LVP_JOBS` env var if set, else available
@@ -290,237 +338,26 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs one job. Pure: everything is constructed from the spec.
-pub fn run_job(spec: &JobSpec) -> JobResult {
-    let w = lvp_workloads::by_name(&spec.workload)
-        .unwrap_or_else(|| panic!("unknown workload '{}'", spec.workload));
-    let trace = w.trace(spec.budget);
-    let mut cfg = spec.variant.config();
-    cfg.sample = spec.sample;
-    let outcome = run_scheme(&trace, spec.scheme, &cfg);
-    JobResult {
-        seed: spec.seed(),
-        suite: w.suite.to_string(),
-        spec: spec.clone(),
-        outcome,
-    }
-}
-
-/// Applies `f` to every item on a scoped worker pool and returns results in
-/// **input order** — bit-identical for any `workers >= 1`, provided `f` is
-/// pure. Items are consumed via an atomic cursor; each result lands in its
-/// own index slot, so neither the thread count nor the completion schedule
-/// can reorder output. This is the worker pool under both [`run_matrix`]
-/// and the declarative figure pipeline.
-pub fn par_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_metered(
-        items,
-        workers,
-        &NullPhases,
-        &Progress::off(),
-        |_| String::new(),
-        |_| (0, 0),
-        f,
-    )
-}
-
-/// [`par_map`] with host telemetry: each item runs inside a phase span on
-/// its worker's lane (worker `i` = lane `i + 1`), charged with the
-/// simulated work the `meter` closure extracts from its result, and ticks
-/// the [`Progress`] meter. With [`NullPhases`] the span and `label` calls
-/// compile out entirely and this **is** `par_map` — same pool, same
-/// input-order slots, bit-identical results for any worker count.
-pub fn par_map_metered<T, R, F, L, M, P>(
-    items: &[T],
-    workers: usize,
-    phases: &P,
-    progress: &Progress,
-    label: L,
-    meter: M,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    L: Fn(&T) -> String + Sync,
-    M: Fn(&R) -> (u64, u64) + Sync,
-    P: PhaseSink,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let lane = (w + 1) as u32;
-            let (slots, cursor) = (&slots, &cursor);
-            let (f, label, meter) = (&f, &label, &meter);
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let mut guard = if P::ENABLED {
-                    Some(phases.span(lane, &label(item)))
-                } else {
-                    None
-                };
-                let r = f(item);
-                let (sim_cycles, instructions) = meter(&r);
-                if let Some(g) = guard.as_mut() {
-                    g.charge(sim_cycles, instructions, 1);
-                    g.finish();
-                }
-                progress.tick(sim_cycles);
-                *slots[i].lock().expect("result slot lock poisoned") = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot lock poisoned")
-                .expect("every item processed")
-        })
-        .collect()
-}
-
-/// Executes the matrix on `workers` scoped threads and returns results in
-/// canonical job order, bit-identical for any `workers >= 1`.
+/// Executes the matrix on the shared batch engine and returns results in
+/// canonical job order, bit-identical for any worker count.
 ///
-/// Traces are built once per (workload, budget) up front — shared read-only
-/// across jobs — then the job list is consumed via an atomic cursor.
-pub fn run_matrix(spec: &MatrixSpec, workers: usize) -> MatrixResults {
-    run_matrix_with(spec, workers, &NullPhases, &Progress::off())
-}
-
-/// [`run_matrix`] with host telemetry: trace construction runs under a
-/// lane-0 `build_traces` span (per-workload `trace:<name>` spans on the
-/// worker lanes), simulation under a `simulate` span with one
-/// `job:<workload>/<variant>/<scheme>` span per job, charged with that
-/// job's simulated cycles and instructions. The returned results — and
-/// their serialized bytes — are identical to [`run_matrix`]'s: telemetry
-/// observes the run, it never feeds back into it.
-pub fn run_matrix_with<P: PhaseSink>(
-    spec: &MatrixSpec,
-    workers: usize,
-    phases: &P,
-    progress: &Progress,
-) -> MatrixResults {
-    run_matrix_serviced(spec, workers, phases, progress, &SimService::disabled())
-}
-
-/// [`run_matrix_with`] behind a result store: each job is looked up by the
-/// canonical hash of its request document (trace fingerprint + budget +
-/// scheme + fully-resolved config, the same key space `figs` uses), only
-/// misses execute on the pool, and computed outcomes are recorded. Results
-/// and serialized bytes are identical cold, warm, or disabled.
-pub fn run_matrix_serviced<P: PhaseSink>(
-    spec: &MatrixSpec,
-    workers: usize,
-    phases: &P,
-    progress: &Progress,
-    service: &SimService,
-) -> MatrixResults {
+/// Each workload's trace is built once, shared read-only across its jobs.
+/// With `exec` recording phases, trace construction runs under a lane-0
+/// `build_traces` span and simulation under a `simulate` span with one
+/// `job:<workload>/<variant>/<scheme>` span per executed job. Behind a
+/// result store, jobs are keyed in the same key space `figs` uses and only
+/// misses execute. The results — and their serialized bytes — are the
+/// same with telemetry, progress or a store on or off.
+pub fn run_matrix<P: PhaseSink>(spec: &MatrixSpec, exec: &Exec<P>) -> MatrixResults {
     let jobs = spec.expand();
-
-    // Phase 1: build each workload's trace once, in parallel.
-    let workload_list: Vec<lvp_workloads::Workload> = spec
-        .workloads
-        .iter()
-        .map(|w| lvp_workloads::by_name(w).unwrap_or_else(|| panic!("unknown workload '{w}'")))
-        .collect();
-    let mut span = phases.span(0, "build_traces");
-    let traces: Vec<lvp_trace::Trace> = par_map_metered(
-        &workload_list,
-        workers,
-        phases,
-        &Progress::off(),
-        |w| format!("trace:{}", w.name),
-        |t: &lvp_trace::Trace| (0, t.len() as u64),
-        |w| w.trace(spec.budget),
-    );
-    span.charge(0, traces.iter().map(|t| t.len() as u64).sum(), 0);
-    span.finish();
-
-    // Phase 2: run jobs; each result lands in its own index slot. Behind
-    // an enabled service, jobs whose request documents hit the store skip
-    // the pool entirely and their `job:` spans never exist.
-    let fingerprints: Vec<u64> = if service.enabled() {
-        traces.iter().map(lvp_trace::Trace::fingerprint).collect()
-    } else {
-        Vec::new()
-    };
-    let workload_index = |job: &JobSpec| {
-        spec.workloads
-            .iter()
-            .position(|w| *w == job.workload)
-            .expect("job came from this spec")
-    };
-    let job_config = |job: &JobSpec| {
-        let mut cfg = job.variant.config();
-        cfg.sample = job.sample;
-        cfg
-    };
-    let mut span = phases.span(0, "simulate");
-    let batch = par_map_cached(
-        service,
-        &jobs,
-        |job| {
-            sim_request_doc(
-                fingerprints[workload_index(job)],
-                spec.budget,
-                job.scheme.name(),
-                &job_config(job),
-            )
-        },
-        |job, payload| {
-            let outcome = SchemeOutcome::from_json(payload).ok()?;
-            let wi = workload_index(job);
-            Some(JobResult {
-                seed: job.seed(),
-                suite: workload_list[wi].suite.to_string(),
-                spec: job.clone(),
-                outcome,
-            })
-        },
-        |r| r.outcome.to_json(),
-        workers,
-        phases,
-        progress,
-        |job| {
-            format!(
-                "job:{}/{}/{}",
-                job.workload,
-                job.variant.name(),
-                job.scheme.name()
-            )
-        },
-        |r: &JobResult| (r.outcome.stats.cycles, r.outcome.stats.instructions),
-        |job| {
-            let wi = workload_index(job);
-            let outcome = run_scheme(&traces[wi], job.scheme, &job_config(job));
-            JobResult {
-                seed: job.seed(),
-                suite: workload_list[wi].suite.to_string(),
-                spec: job.clone(),
-                outcome,
-            }
-        },
-    );
-    span.charge(
-        batch.executed.sim_cycles,
-        batch.executed.instructions,
-        batch.executed.jobs,
-    );
-    span.finish();
+    let batch = run_batch(&jobs, &[], exec);
     MatrixResults {
         spec: spec.clone(),
-        jobs: batch.results,
+        jobs: jobs
+            .into_iter()
+            .zip(batch.results)
+            .map(|(job, (outcome, _))| JobResult::new(job, outcome))
+            .collect(),
     }
 }
 
@@ -680,15 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_is_bit_identical_to_serial() {
-        let spec = tiny_spec();
-        let serial = run_matrix(&spec, 1);
-        let parallel = run_matrix(&spec, 4);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.to_json().pretty(), parallel.to_json().pretty());
-    }
-
-    #[test]
     fn diff_flags_counter_drift_and_structure() {
         let spec = MatrixSpec {
             workloads: vec!["aifirf".to_string()],
@@ -697,7 +525,7 @@ mod tests {
             budget: 3_000,
             sample: None,
         };
-        let results = run_matrix(&spec, 2);
+        let results = run_matrix(&spec, &Exec::new(2));
         let golden = results.to_json();
         assert!(diff_matrices(&golden, &results.to_json(), Tolerances::default()).is_empty());
 
@@ -752,8 +580,8 @@ mod tests {
             detail: 2_000,
             period: 6_000,
         });
-        let serial = run_matrix(&spec, 1);
-        let parallel = run_matrix(&spec, 4);
+        let serial = run_matrix(&spec, &Exec::new(1));
+        let parallel = run_matrix(&spec, &Exec::new(4));
         assert_eq!(serial, parallel, "sampling must stay --jobs invariant");
         assert_eq!(serial.to_json().pretty(), parallel.to_json().pretty());
         assert!(serial.to_json().pretty().contains("\"sample\""));
@@ -781,16 +609,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn par_map_preserves_input_order() {
-        let items: Vec<u64> = (0..37).collect();
-        let serial = par_map(&items, 1, |&x| x * x);
-        let parallel = par_map(&items, 8, |&x| x * x);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial, items.iter().map(|&x| x * x).collect::<Vec<_>>());
-        assert!(par_map(&[] as &[u64], 4, |&x| x).is_empty());
     }
 
     #[test]

@@ -26,13 +26,13 @@
 //! socket exists for latency (no polling); the file queue is the durable
 //! path and the only one the runner's `--client` mode uses.
 
-use crate::experiments::{run_scheme, SchemeOutcome};
-use crate::runner::{par_map, ConfigVariant, JobResult, JobSpec, MatrixResults, MatrixSpec};
-use crate::service::sim_request_doc;
+use crate::experiments::SchemeOutcome;
+use crate::runner::{ConfigVariant, JobResult, JobSpec, MatrixResults, MatrixSpec};
+use crate::service::{run_batch, Exec};
 use dlvp::SchemeKind;
 use lvp_json::{Json, ToJson};
 use lvp_store::SimService;
-use lvp_uarch::{SampleSpec, SimConfig};
+use lvp_uarch::SampleSpec;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -64,7 +64,9 @@ pub fn job_to_json(spec: &JobSpec) -> Json {
     Json::obj(pairs)
 }
 
-/// Parses one queued job spec (the inverse of [`job_to_json`]).
+/// Parses one queued job spec (the inverse of [`job_to_json`]). A
+/// degenerate sampling spec is rejected here, with the
+/// [`lvp_uarch::ConfigError`] it fails, so it never reaches the sampler.
 pub fn job_from_json(j: &Json) -> Result<JobSpec, String> {
     let workload = j
         .get("workload")
@@ -93,6 +95,11 @@ pub fn job_from_json(j: &Json) -> Result<JobSpec, String> {
             period: u(sj, "period").ok_or("sample missing 'period'")?,
         }),
     };
+    if let Some(sample) = &sample {
+        sample
+            .validate()
+            .map_err(|e| format!("invalid sample spec: {e}"))?;
+    }
     Ok(JobSpec {
         workload,
         scheme,
@@ -210,149 +217,41 @@ pub fn complete(root: &Path, id: &str, lines: &[Json]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// How one response line's outcome was produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Provenance {
-    /// Answered from the result store (memo or disk).
-    Store,
-    /// Simulated by this server, then recorded.
-    Computed,
-    /// Coalesced onto an identical request earlier in the same batch.
-    Deduped,
-}
-
-impl Provenance {
-    pub fn name(self) -> &'static str {
-        match self {
-            Provenance::Store => "store",
-            Provenance::Computed => "computed",
-            Provenance::Deduped => "deduped",
-        }
-    }
-}
-
 /// Executes a batch behind the service and returns one response line per
-/// job, in request order. Identical requests are coalesced in flight:
-/// duplicates of a canonical key simulate once and report `"deduped"`.
-/// Jobs naming unknown workloads get an `"error"` line instead of
-/// poisoning the whole batch.
+/// job, in request order, each with its store `key` and its
+/// [`crate::service::Provenance`] (`"store"`, `"computed"` or
+/// `"deduped"`). The batch runs on the shared engine ([`run_batch`]), so
+/// identical requests are coalesced in flight. Jobs naming unknown
+/// workloads get an `"error"` line instead of poisoning the whole batch.
 pub fn execute_batch(req: &BatchRequest, service: &SimService, workers: usize) -> Vec<Json> {
-    let line_head = |index: usize| {
-        vec![
-            ("id", req.id.to_json()),
-            ("index", (index as u64).to_json()),
-        ]
+    // Response lines always carry a key; a disabled service is stood in
+    // for by a memo that lives for this batch only.
+    let scratch;
+    let service = if service.enabled() {
+        service
+    } else {
+        scratch = SimService::in_memory();
+        &scratch
     };
-
-    // Trace each unique (workload, budget) once, shared across the batch.
-    let mut trace_specs: Vec<(String, u64)> = Vec::new();
-    for job in &req.jobs {
-        let key = (job.workload.clone(), job.budget);
-        if lvp_workloads::by_name(&job.workload).is_some() && !trace_specs.contains(&key) {
-            trace_specs.push(key);
-        }
-    }
-    let traces: Vec<lvp_trace::Trace> = par_map(&trace_specs, workers, |(w, budget)| {
-        lvp_workloads::by_name(w)
-            .expect("trace_specs holds only known workloads")
-            .trace(*budget)
-    });
-    let trace_of = |job: &JobSpec| {
-        trace_specs
-            .iter()
-            .position(|(w, b)| *w == job.workload && *b == job.budget)
-            .map(|i| &traces[i])
-    };
-    let job_config = |job: &JobSpec| {
-        let mut cfg: SimConfig = job.variant.config();
-        cfg.sample = job.sample;
-        cfg
-    };
-
-    // Key every valid job and coalesce in-flight duplicates: the first
-    // occurrence of a key owns the execution, later ones borrow it.
-    let mut keys: Vec<Option<String>> = vec![None; req.jobs.len()];
-    let mut owner_of_key: HashMap<String, usize> = HashMap::new();
-    let mut owners: Vec<usize> = Vec::new();
-    let mut borrowed: Vec<usize> = vec![usize::MAX; req.jobs.len()];
-    let mut deduped = 0u64;
-    for (i, job) in req.jobs.iter().enumerate() {
-        let Some(trace) = trace_of(job) else { continue };
-        let doc = sim_request_doc(
-            trace.fingerprint(),
-            job.budget,
-            job.scheme.name(),
-            &job_config(job),
-        );
-        let key = service.key(&doc);
-        match owner_of_key.get(&key) {
-            Some(&first) => {
-                borrowed[i] = first;
-                deduped += 1;
-            }
-            None => {
-                owner_of_key.insert(key.clone(), i);
-                owners.push(i);
-            }
-        }
-        keys[i] = Some(key);
-    }
-    service.note_deduped(deduped);
-
-    // Owners: answer from the store, else simulate and record.
-    let mut outcomes: Vec<Option<(SchemeOutcome, Provenance)>> = vec![None; req.jobs.len()];
-    let mut misses: Vec<usize> = Vec::new();
-    for &i in &owners {
-        let key = keys[i].as_ref().expect("owners are keyed");
-        match service
-            .lookup(key)
-            .and_then(|p| SchemeOutcome::from_json(&p).ok())
-        {
-            Some(outcome) => outcomes[i] = Some((outcome, Provenance::Store)),
-            None => misses.push(i),
-        }
-    }
-    let computed = par_map(&misses, workers, |&i| {
-        let job = &req.jobs[i];
-        let trace = trace_of(job).expect("missed jobs were keyed, so traced");
-        run_scheme(trace, job.scheme, &job_config(job))
-    });
-    for (&i, outcome) in misses.iter().zip(computed) {
-        let key = keys[i].as_ref().expect("missed jobs were keyed");
-        if let Err(e) = service.record(key, &outcome.to_json()) {
-            eprintln!("warning: result store write failed: {e}");
-        }
-        outcomes[i] = Some((outcome, Provenance::Computed));
-    }
-
-    // Fan results back out to request order.
+    let known = |job: &JobSpec| lvp_workloads::by_name(&job.workload).is_some();
+    let jobs: Vec<JobSpec> = req.jobs.iter().filter(|j| known(j)).cloned().collect();
+    let batch = run_batch(&jobs, &[], &Exec::new(workers).with_service(service));
+    let mut answers = batch.results.into_iter().zip(batch.keys);
     req.jobs
         .iter()
         .enumerate()
         .map(|(i, job)| {
-            let mut pairs = line_head(i);
-            let slot = if borrowed[i] != usize::MAX {
-                borrowed[i]
-            } else {
-                i
-            };
-            match (&keys[i], &outcomes[slot]) {
-                (Some(key), Some((outcome, prov))) => {
-                    let prov = if borrowed[i] != usize::MAX {
-                        Provenance::Deduped
-                    } else {
-                        *prov
-                    };
+            let mut pairs = vec![("id", req.id.to_json()), ("index", (i as u64).to_json())];
+            match known(job).then(|| answers.next()).flatten() {
+                Some(((outcome, source), key)) => {
                     pairs.push(("key", key.to_json()));
-                    pairs.push(("source", Json::Str(prov.name().to_string())));
+                    pairs.push(("source", source.name().to_json()));
                     pairs.push(("outcome", outcome.to_json()));
                 }
-                _ => {
-                    pairs.push((
-                        "error",
-                        Json::Str(format!("unknown workload '{}'", job.workload)),
-                    ));
-                }
+                None => pairs.push((
+                    "error",
+                    Json::Str(format!("unknown workload '{}'", job.workload)),
+                )),
             }
             Json::obj(pairs)
         })
@@ -598,15 +497,7 @@ pub fn client_run_matrix(
         .into_iter()
         .zip(outcomes)
         .map(|(job, outcome)| {
-            let suite = lvp_workloads::by_name(&job.workload)
-                .map(|w| w.suite.to_string())
-                .unwrap_or_default();
-            JobResult {
-                seed: job.seed(),
-                suite,
-                spec: job,
-                outcome: outcome.expect("every index filled exactly once"),
-            }
+            JobResult::new(job, outcome.expect("every index filled exactly once"))
         })
         .collect();
     Ok((
@@ -708,31 +599,47 @@ mod tests {
     #[test]
     fn served_batch_dedups_in_flight_and_matches_local_run() {
         let spec = tiny_spec();
+        let service = SimService::in_memory();
+        // Warm the store with the first job only.
+        let warmup = BatchRequest {
+            id: "b-warm".into(),
+            jobs: spec.expand()[..1].to_vec(),
+        };
+        let warm_lines = execute_batch(&warmup, &service, 2);
+        assert_eq!(
+            warm_lines[0].get("source").and_then(Json::as_str),
+            Some("computed")
+        );
+
+        // One batch: a store hit, three misses, and a duplicate of a miss.
         let mut jobs = spec.expand();
-        let dup = jobs[0].clone();
-        jobs.push(dup); // identical in-flight request
+        jobs.push(jobs[1].clone());
         let req = BatchRequest {
             id: "b-dedup".into(),
             jobs,
         };
-        let service = SimService::in_memory();
         let lines = execute_batch(&req, &service, 2);
         assert_eq!(lines.len(), 5);
         let sources: Vec<&str> = lines
             .iter()
             .map(|l| l.get("source").and_then(Json::as_str).expect("source"))
             .collect();
-        assert_eq!(sources[..4], ["computed"; 4]);
-        assert_eq!(sources[4], "deduped");
-        assert_eq!(service.counters().deduped, 1);
         assert_eq!(
-            lines[0].get("outcome").expect("outcome"),
+            sources,
+            ["store", "computed", "computed", "computed", "deduped"]
+        );
+        let c = service.counters();
+        assert_eq!((c.hits, c.misses, c.deduped), (1, 4, 1));
+        assert_eq!(lines[0].get("key"), warm_lines[0].get("key"));
+        assert_eq!(lines[1].get("key"), lines[4].get("key"));
+        assert_eq!(
+            lines[1].get("outcome").expect("outcome"),
             lines[4].get("outcome").expect("outcome"),
             "deduped line borrows the owner's outcome"
         );
 
         // The served outcomes are the local runner's outcomes.
-        let local = run_matrix(&spec, 2);
+        let local = run_matrix(&spec, &Exec::new(2));
         for (line, job) in lines.iter().take(4).zip(&local.jobs) {
             assert_eq!(
                 line.get("outcome").expect("outcome"),
@@ -770,7 +677,7 @@ mod tests {
         assert_eq!(stats.jobs, 4);
         assert_eq!(stats.errors, 0);
         assert_eq!(sources.get("computed"), Some(&4));
-        let local = run_matrix(&spec, 2);
+        let local = run_matrix(&spec, &Exec::new(2));
         assert_eq!(
             results.to_json().pretty(),
             local.to_json().pretty(),
@@ -791,6 +698,64 @@ mod tests {
         let (warm, sources) = client.join().expect("client thread").expect("client run");
         assert_eq!(sources.get("store"), Some(&4), "warm batch must hit");
         assert_eq!(warm.to_json().pretty(), local.to_json().pretty());
+        std::fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    /// A sampling spec whose warmup + detail overflow its period would wrap
+    /// the sampler's skip count (release) or panic the pool thread (debug)
+    /// and store a garbage outcome. Parsing rejects it, and the server
+    /// answers the batch with an error line.
+    #[test]
+    fn degenerate_sample_spec_is_rejected_with_an_error_line() {
+        let job = Json::obj([
+            ("workload", Json::Str("aifirf".into())),
+            ("scheme", Json::Str("DLVP".into())),
+            ("variant", Json::Str("default".into())),
+            ("budget", Json::U64(20_000)),
+            (
+                "sample",
+                Json::obj([
+                    ("ff", Json::U64(0)),
+                    ("warmup", Json::U64(3_000)),
+                    ("detail", Json::U64(4_000)),
+                    ("period", Json::U64(5_000)),
+                ]),
+            ),
+        ]);
+        let err = job_from_json(&job).expect_err("degenerate spec must not parse");
+        assert!(err.contains("invalid sample spec"), "{err}");
+        assert!(err.contains("must fit in sample.period"), "{err}");
+
+        let root = temp_queue("degenerate");
+        queue_init(&root).expect("init");
+        let batch = Json::obj([
+            ("schema_version", QUEUE_SCHEMA_VERSION.to_json()),
+            ("id", Json::Str("b-bad".into())),
+            ("jobs", Json::Array(vec![job])),
+        ]);
+        std::fs::write(root.join("new").join("b-bad.json"), batch.pretty()).expect("submit");
+        let service = SimService::in_memory();
+        let cfg = ServeConfig {
+            queue: root.clone(),
+            workers: 1,
+            once: true,
+            poll_ms: 5,
+            socket: None,
+            quiet: true,
+        };
+        let stats = serve(&cfg, &service).expect("serve");
+        assert_eq!((stats.batches, stats.jobs, stats.errors), (1, 0, 1));
+        let text = std::fs::read_to_string(root.join("done").join("b-bad.jsonl")).expect("done");
+        let line = Json::parse(text.trim()).expect("one response line");
+        assert_eq!(line.get("id").and_then(Json::as_str), Some("b-bad"));
+        let error = line.get("error").and_then(Json::as_str).expect("error");
+        assert!(error.contains("invalid sample spec"), "{error}");
+        assert!(line.get("outcome").is_none());
+        assert_eq!(
+            service.counters(),
+            Default::default(),
+            "nothing ran or stored"
+        );
         std::fs::remove_dir_all(&root).expect("cleanup");
     }
 

@@ -5,11 +5,12 @@
 //! `(workload, scheme, preset)` triples — [`SimRequest`] — and (b) a pure
 //! `render` function that formats the collected [`ResultSet`] into the
 //! byte-exact text the retired one-binary-per-figure harnesses printed.
-//! [`run_specs`] dedups the requests across every selected spec, builds each
-//! workload trace once, and runs the unique simulations on the deterministic
-//! [`par_map_metered`] worker pool — so `figs --all` simulates each design point
-//! exactly once even when several figures share it, and its output is
-//! bit-identical for any worker count.
+//! [`run_specs`] dedups the requests across every selected spec and hands
+//! the unique simulations to the shared batch engine
+//! ([`crate::service::run_batch`]), which builds each workload trace once —
+//! so `figs --all` simulates each design point exactly once even when
+//! several figures share it, and its output is bit-identical for any
+//! worker count.
 //!
 //! Configurations are never constructed ad hoc here: every request names a
 //! `SimConfig` preset, so the full set of design points the evaluation
@@ -18,8 +19,7 @@
 use crate::analysis::analyze_workload;
 use crate::experiments::{run_scheme, ComparisonRow, SchemeKind, SchemeOutcome};
 use crate::report;
-use crate::runner::par_map_metered;
-use crate::service::{par_map_cached, sim_request_doc};
+use crate::service::{run_batch, sim_request_doc, Exec, SimJob};
 use crate::telemetry::Progress;
 use dlvp::{
     evaluate_standalone, AddrEval, AddrWidth, AddressPredictor, AptLayout, Cap, CapConfig,
@@ -144,7 +144,7 @@ pub struct ExperimentSpec {
 /// requested simulation's output, keyed by request.
 pub struct ResultSet {
     budget: u64,
-    traces: HashMap<&'static str, Trace>,
+    traces: HashMap<String, Trace>,
     sims: HashMap<SimRequest, SimOutput>,
 }
 
@@ -222,22 +222,77 @@ pub struct RenderedSpec {
     pub text: String,
 }
 
-/// Runs one simulation request against its workload's trace. Pure: the
-/// configuration comes from the named preset, all predictor state is
-/// per-call.
-fn run_request(req: &SimRequest, trace: &Trace) -> SimOutput {
-    let cfg = SimConfig::preset(req.preset).expect("spec requests name registered presets");
-    match req.scheme {
-        SimScheme::Kind(kind) => SimOutput::Outcome(run_scheme(trace, kind, &cfg)),
-        SimScheme::Dvtage => {
-            SimOutput::Stats(Core::new(cfg.core.clone(), Dvtage::paper_default()).run(trace))
+/// One deduped simulation request at the run's budget, as the batch
+/// engine sees it.
+struct SpecJob {
+    req: SimRequest,
+    budget: u64,
+}
+
+impl SpecJob {
+    fn config(&self) -> SimConfig {
+        SimConfig::preset(self.req.preset).expect("spec requests name registered presets")
+    }
+}
+
+impl SimJob for SpecJob {
+    type Output = SimOutput;
+
+    fn trace_id(&self) -> (&str, u64) {
+        (self.req.workload, self.budget)
+    }
+
+    fn label(&self) -> String {
+        let r = &self.req;
+        format!("job:{}/{}/{}", r.workload, r.preset, r.scheme.label())
+    }
+
+    fn request_doc(&self, trace_fingerprint: u64) -> Json {
+        let scheme = self.req.scheme.label();
+        sim_request_doc(trace_fingerprint, self.budget, scheme, &self.config())
+    }
+
+    /// Pure: the configuration comes from the named preset, all predictor
+    /// state is per-call.
+    fn run(&self, trace: &Trace) -> SimOutput {
+        let cfg = self.config();
+        match self.req.scheme {
+            SimScheme::Kind(kind) => SimOutput::Outcome(run_scheme(trace, kind, &cfg)),
+            SimScheme::Dvtage => {
+                SimOutput::Stats(Core::new(cfg.core.clone(), Dvtage::paper_default()).run(trace))
+            }
+        }
+    }
+
+    fn encode(output: &SimOutput) -> Json {
+        output.to_payload()
+    }
+
+    fn decode(payload: &Json) -> Option<SimOutput> {
+        SimOutput::from_payload(payload)
+    }
+
+    fn work(output: &SimOutput) -> (u64, u64) {
+        match output {
+            SimOutput::Outcome(o) => o.stats.sim_work(),
+            SimOutput::Stats(s) => s.sim_work(),
         }
     }
 }
 
-/// Executes the selected specs: dedups their simulation requests, builds
-/// each needed trace once, runs the unique simulations on the [`par_map_metered`]
-/// pool, and renders every spec from the shared [`ResultSet`].
+/// The distinct simulation requests of `specs`, in first-seen order.
+pub fn distinct_requests(specs: &[&ExperimentSpec]) -> Vec<SimRequest> {
+    let mut seen = HashSet::new();
+    specs
+        .iter()
+        .flat_map(|spec| (spec.sims)())
+        .filter(|req| seen.insert(*req))
+        .collect()
+}
+
+/// Executes the selected specs: dedups their simulation requests, runs the
+/// unique simulations on the shared batch engine, and renders every spec
+/// from the shared [`ResultSet`].
 ///
 /// Deterministic end to end: request order is first-seen spec order, the
 /// pool writes results into per-index slots, and renders are pure — the
@@ -282,85 +337,41 @@ pub fn run_specs_serviced<P: PhaseSink>(
     progress: &Progress,
     service: &SimService,
 ) -> Vec<RenderedSpec> {
-    let mut requests: Vec<SimRequest> = Vec::new();
-    let mut seen: HashSet<SimRequest> = HashSet::new();
-    let mut duplicates: u64 = 0;
-    for spec in specs {
-        for req in (spec.sims)() {
-            if seen.insert(req) {
-                requests.push(req);
-            } else {
-                duplicates += 1;
-            }
-        }
-    }
-    service.note_deduped(duplicates);
+    let requests = distinct_requests(specs);
+    let all: usize = specs.iter().map(|spec| (spec.sims)().len()).sum();
+    service.note_deduped((all - requests.len()) as u64);
 
-    let need_all = specs.iter().any(|s| matches!(s.traces, TraceNeed::All));
-    let workload_names: Vec<&'static str> = lvp_workloads::names()
-        .into_iter()
-        .filter(|name| need_all || requests.iter().any(|r| r.workload == *name))
-        .collect();
-    let mut span = phases.span(0, "build_traces");
-    let built = par_map_metered(
-        &workload_names,
-        workers,
-        phases,
-        &Progress::off(),
-        |name| format!("trace:{name}"),
-        |t: &Trace| (0, t.len() as u64),
-        |name| {
-            lvp_workloads::by_name(name)
-                .unwrap_or_else(|| panic!("unknown workload '{name}'"))
-                .trace(budget)
-        },
-    );
-    span.charge(0, built.iter().map(|t| t.len() as u64).sum(), 0);
-    span.finish();
-    let traces: HashMap<&'static str, Trace> = workload_names.iter().copied().zip(built).collect();
-
-    let sim_work = |out: &SimOutput| match out {
-        SimOutput::Outcome(o) => (o.stats.cycles, o.stats.instructions),
-        SimOutput::Stats(s) => (s.cycles, s.instructions),
-    };
-    let fingerprints: HashMap<&'static str, u64> = if service.enabled() {
-        traces
-            .iter()
-            .map(|(name, t)| (*name, t.fingerprint()))
+    // The trace-profiling figures read every workload's trace even though
+    // they simulate nothing.
+    let extra_traces: Vec<(&str, u64)> = if specs.iter().any(|s| s.traces == TraceNeed::All) {
+        lvp_workloads::names()
+            .into_iter()
+            .map(|name| (name, budget))
             .collect()
     } else {
-        HashMap::new()
+        Vec::new()
     };
-    let mut span = phases.span(0, "simulate");
-    let batch = par_map_cached(
-        service,
-        &requests,
-        |req| {
-            let cfg = SimConfig::preset(req.preset).expect("spec requests name registered presets");
-            sim_request_doc(fingerprints[req.workload], budget, req.scheme.label(), &cfg)
-        },
-        |_, payload| SimOutput::from_payload(payload),
-        SimOutput::to_payload,
-        workers,
-        phases,
-        progress,
-        |req| format!("job:{}/{}/{}", req.workload, req.preset, req.scheme.label()),
-        sim_work,
-        |req| run_request(req, &traces[req.workload]),
-    );
-    span.charge(
-        batch.executed.sim_cycles,
-        batch.executed.instructions,
-        batch.executed.jobs,
-    );
-    span.finish();
-    let sims: HashMap<SimRequest, SimOutput> =
-        requests.iter().copied().zip(batch.results).collect();
+    let jobs: Vec<SpecJob> = requests
+        .iter()
+        .map(|&req| SpecJob { req, budget })
+        .collect();
+    let exec = Exec::new(workers)
+        .with_phases(phases)
+        .with_progress(progress)
+        .with_service(service);
+    let batch = run_batch(&jobs, &extra_traces, &exec);
 
     let set = ResultSet {
         budget,
-        traces,
-        sims,
+        traces: batch
+            .traces
+            .into_iter()
+            .map(|((name, _), trace)| (name, trace))
+            .collect(),
+        sims: requests
+            .into_iter()
+            .zip(batch.results.into_iter().map(|(out, _)| out))
+            .collect(),
     };
     phases.time(0, "render", || {
         specs
@@ -403,8 +414,7 @@ fn across_workloads(pairs: &[(SimScheme, &'static str)]) -> Vec<SimRequest> {
 }
 
 /// Reassembles a [`ComparisonRow`] (baseline + the given schemes, all on
-/// the `default` preset) from pooled outcomes — the spec-pipeline face of
-/// `ComparisonRow::with_schemes`.
+/// the `default` preset) from pooled outcomes.
 fn row_from(set: &ResultSet, w: &lvp_workloads::Workload, schemes: &[SchemeKind]) -> ComparisonRow {
     ComparisonRow {
         workload: w.name.to_string(),
@@ -417,7 +427,7 @@ fn row_from(set: &ResultSet, w: &lvp_workloads::Workload, schemes: &[SchemeKind]
     }
 }
 
-/// The standard experiment header (string form of `report::header`).
+/// The standard experiment header.
 fn header(o: &mut String, id: &str, title: &str, budget: u64) {
     o.push_str("================================================================\n");
     o.push_str(&format!("{id}: {title}\n"));

@@ -7,10 +7,10 @@
 //! every previously stored entry unreachable rather than misinterpreted.
 
 use lvp_bench::{
-    run_matrix_serviced, sim_request_doc, ConfigVariant, MatrixSpec, Progress, SchemeKind,
+    execute_batch, run_matrix, sim_request_doc, BatchRequest, ConfigVariant, Exec, MatrixSpec,
+    SchemeKind,
 };
-use lvp_json::Json;
-use lvp_obs::NullPhases;
+use lvp_json::{Json, ToJson};
 use lvp_store::{request_key, request_key_versioned, SimService, Store, KEY_SCHEMA_VERSION};
 use lvp_uarch::{SampleSpec, SimConfig};
 use std::collections::{HashMap, HashSet};
@@ -138,8 +138,8 @@ fn matrix_results_and_stored_keys_are_jobs_invariant() {
     let dir4 = temp_dir("jobs4");
     let svc1 = SimService::open(&dir1).expect("open service");
     let svc4 = SimService::open(&dir4).expect("open service");
-    let serial = run_matrix_serviced(&spec, 1, &NullPhases, &Progress::off(), &svc1);
-    let parallel = run_matrix_serviced(&spec, 4, &NullPhases, &Progress::off(), &svc4);
+    let serial = run_matrix(&spec, &Exec::new(1).with_service(&svc1));
+    let parallel = run_matrix(&spec, &Exec::new(4).with_service(&svc4));
 
     // Same artifact bytes regardless of worker count...
     assert_eq!(serial.to_json().pretty(), parallel.to_json().pretty());
@@ -154,23 +154,64 @@ fn matrix_results_and_stored_keys_are_jobs_invariant() {
     // A warm re-run (any worker count) answers fully from the store with
     // byte-identical results.
     let warm_svc = SimService::open(&dir1).expect("open service");
-    let warm = run_matrix_serviced(&spec, 2, &NullPhases, &Progress::off(), &warm_svc);
+    let warm = run_matrix(&spec, &Exec::new(2).with_service(&warm_svc));
     assert_eq!(serial.to_json().pretty(), warm.to_json().pretty());
     assert_eq!(warm_svc.counters().hits, 4);
     assert_eq!(warm_svc.counters().misses, 0);
 
     // And a store-disabled run of the same spec is byte-identical too.
-    let disabled = run_matrix_serviced(
-        &spec,
-        2,
-        &NullPhases,
-        &Progress::off(),
-        &SimService::disabled(),
-    );
+    let disabled = run_matrix(&spec, &Exec::new(2).with_service(&SimService::disabled()));
     assert_eq!(serial.to_json().pretty(), disabled.to_json().pretty());
 
     let _ = std::fs::remove_dir_all(&dir1);
     let _ = std::fs::remove_dir_all(&dir4);
+}
+
+/// `runner` and `serve` share one key space: a store filled by a matrix
+/// run answers a served batch of the same jobs from the store alone, with
+/// the same keys and byte-identical outcomes.
+#[test]
+fn store_filled_by_run_matrix_answers_execute_batch() {
+    let spec = MatrixSpec {
+        workloads: vec!["aifirf".into(), "perlbmk".into()],
+        schemes: vec![SchemeKind::Baseline, SchemeKind::Vtage],
+        variants: vec![ConfigVariant::Default, ConfigVariant::NoPrefetch],
+        budget: 3_000,
+        sample: None,
+    };
+    let dir = temp_dir("matrix-to-serve");
+    let filled = run_matrix(
+        &spec,
+        &Exec::new(2).with_service(&SimService::open(&dir).expect("open service")),
+    );
+
+    let served_svc = SimService::open(&dir).expect("reopen service");
+    let req = BatchRequest {
+        id: "b-shared".into(),
+        jobs: spec.expand(),
+    };
+    let lines = execute_batch(&req, &served_svc, 2);
+    assert_eq!(lines.len(), filled.jobs.len());
+    for (line, job) in lines.iter().zip(&filled.jobs) {
+        assert_eq!(line.get("source").and_then(Json::as_str), Some("store"));
+        assert_eq!(line.get("outcome"), Some(&job.outcome.to_json()));
+        let doc = sim_request_doc(
+            lvp_workloads::by_name(&job.spec.workload)
+                .expect("workload")
+                .trace(spec.budget)
+                .fingerprint(),
+            spec.budget,
+            job.spec.scheme.name(),
+            &job.spec.config(),
+        );
+        assert_eq!(
+            line.get("key").and_then(Json::as_str),
+            Some(request_key(&doc).as_str())
+        );
+    }
+    let c = served_svc.counters();
+    assert_eq!((c.hits, c.misses, c.writes), (lines.len() as u64, 0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

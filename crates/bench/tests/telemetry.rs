@@ -2,15 +2,12 @@
 //! manifest emission must never change any deterministic artifact, and the
 //! manifest/trace documents must round-trip their schemas.
 
-use lvp_bench::perf::{bench_doc, BenchPolicy, DEFAULT_TOL_REL};
-use lvp_bench::runner::{run_matrix, run_matrix_with, MatrixSpec};
+use lvp_bench::perf::{bench_doc, spun, BenchPolicy, DEFAULT_TOL_REL};
+use lvp_bench::runner::{run_matrix, MatrixSpec};
 use lvp_bench::specs::{self, run_specs, run_specs_with};
-use lvp_bench::{
-    analysis, config_hash, par_map, par_map_metered, run_scheme, run_scheme_spun, Manifest,
-    Progress, SchemeKind,
-};
+use lvp_bench::{analysis, config_hash, par_map, run_scheme, Exec, Manifest, Progress, SchemeKind};
 use lvp_json::{Json, ToJson};
-use lvp_obs::{host_trace, NullPhases, PhaseRecorder, PhaseSink};
+use lvp_obs::{host_trace, PhaseRecorder, PhaseSink};
 use lvp_uarch::SimConfig;
 
 const BUDGET: u64 = 8_000;
@@ -22,32 +19,26 @@ fn small_spec() -> MatrixSpec {
     spec
 }
 
-/// The load-bearing byte-identity guarantee: recording telemetry does not
-/// perturb the results artifact, for any worker count.
+/// The load-bearing byte-identity guarantee: recording telemetry or
+/// ticking a progress meter does not perturb the results artifact, for any
+/// worker count.
 #[test]
 fn recorded_matrix_results_are_byte_identical() {
     let spec = small_spec();
-    let plain = run_matrix(&spec, 1).to_json().pretty();
+    let plain = run_matrix(&spec, &Exec::new(1)).to_json().pretty();
     for workers in [1usize, 3] {
         let rec = PhaseRecorder::new();
-        let recorded = run_matrix_with(&spec, workers, &rec, &Progress::off());
-        assert_eq!(recorded.to_json().pretty(), plain);
+        let progress = Progress::new("test", spec.expand().len(), true);
+        let exec = Exec::new(workers)
+            .with_phases(&rec)
+            .with_progress(&progress);
+        assert_eq!(run_matrix(&spec, &exec).to_json().pretty(), plain);
         assert!(
             rec.spans().iter().any(|s| s.name == "simulate"),
             "recorder captured the simulate phase"
         );
+        assert_eq!(progress.done(), spec.expand().len());
     }
-}
-
-/// An enabled progress meter writes stderr only; results stay identical.
-#[test]
-fn progress_meter_does_not_change_results() {
-    let spec = small_spec();
-    let quiet = run_matrix(&spec, 2).to_json().pretty();
-    let progress = Progress::new("test", spec.expand().len(), true);
-    let noisy = run_matrix_with(&spec, 2, &NullPhases, &progress);
-    assert_eq!(noisy.to_json().pretty(), quiet);
-    assert_eq!(progress.done(), spec.expand().len());
 }
 
 /// Spec-pipeline renders are identical with and without telemetry.
@@ -75,16 +66,15 @@ fn recorded_analysis_is_byte_identical() {
     let pap = dlvp::PapConfig::default();
     let dcfg = dlvp::DlvpConfig::default();
     let xval = lvp_analysis::XvalConfig::default();
-    let plain = analysis::analyze_workloads(&workloads, BUDGET, pap, dcfg, &xval);
+    let plain = analysis::analyze_workloads(&workloads, BUDGET, pap, dcfg, &xval, &Exec::new(1));
     let rec = PhaseRecorder::new();
-    let recorded = analysis::analyze_workloads_with(
+    let recorded = analysis::analyze_workloads(
         &workloads,
         BUDGET,
         pap,
         dcfg,
         &xval,
-        &rec,
-        &Progress::off(),
+        &Exec::new(1).with_phases(&rec),
     );
     assert_eq!(
         analysis::report_json(&recorded, BUDGET).pretty(),
@@ -96,37 +86,45 @@ fn recorded_analysis_is_byte_identical() {
     );
 }
 
-/// The host-spin injection slows the wall clock but never the simulation:
-/// every deterministic counter matches the unspun run.
+/// The bench-layer slowdown burn slows the wall clock but never the
+/// simulation: every deterministic counter matches the unspun run, on the
+/// flat and the sampled path alike.
 #[test]
 fn injected_slowdown_is_invisible_to_the_simulation() {
     let trace = lvp_workloads::by_name("aifirf")
         .expect("workload")
         .trace(BUDGET);
-    let cfg = SimConfig::default();
-    let plain = run_scheme(&trace, SchemeKind::Dlvp, &cfg);
-    let spun = run_scheme_spun(&trace, SchemeKind::Dlvp, &cfg, 40);
-    assert_eq!(spun.stats, plain.stats);
-    assert_eq!(spun.to_json().pretty(), plain.to_json().pretty());
+    let sampled = SimConfig {
+        sample: Some(lvp_bench::perf::TIER_SAMPLE),
+        ..SimConfig::default()
+    };
+    for cfg in [SimConfig::default(), sampled] {
+        let plain = run_scheme(&trace, SchemeKind::Dlvp, &cfg);
+        let slowed = spun(40, trace.len(), || {
+            run_scheme(&trace, SchemeKind::Dlvp, &cfg)
+        });
+        assert_eq!(slowed.stats, plain.stats);
+        assert_eq!(slowed.to_json().pretty(), plain.to_json().pretty());
+    }
 }
 
-/// `par_map_metered` with a recorder returns what `par_map` returns, and
-/// its `job:` spans carry the metered work.
+/// `par_map` returns the same results with and without a recorder, and its
+/// `job:` spans carry the metered work.
 #[test]
 fn metered_pool_matches_plain_pool() {
     let items: Vec<u64> = (0..17).collect();
-    let plain = par_map(&items, 4, |&x| x * x);
+    let square = |&x: &u64| x * x;
+    let label = |x: &u64| format!("job:{x}");
+    let meter = |r: &u64| (*r, 1);
+    let plain = par_map(&items, &Exec::new(1), label, meter, square);
+    assert_eq!(plain, items.iter().map(square).collect::<Vec<_>>());
     let rec = PhaseRecorder::new();
-    let metered = par_map_metered(
-        &items,
-        4,
-        &rec,
-        &Progress::off(),
-        |x| format!("job:{x}"),
-        |r: &u64| (*r, 1),
-        |&x| x * x,
-    );
-    assert_eq!(metered, plain);
+    let progress = Progress::off();
+    let exec = Exec::new(4).with_phases(&rec).with_progress(&progress);
+    let metered = par_map(&items, &exec, label, meter, square);
+    assert_eq!(metered, plain, "input order for any worker count");
+    assert_eq!(progress.done(), items.len());
+    assert!(par_map(&[], &exec, label, meter, square).is_empty());
     let spans = rec.spans();
     let jobs: Vec<_> = spans
         .iter()
@@ -146,7 +144,7 @@ fn manifest_round_trips_and_hash_ignores_workers() {
     let mut manifests = Vec::new();
     for workers in [1usize, 4] {
         let rec = PhaseRecorder::new();
-        let _ = run_matrix_with(&spec, workers, &rec, &Progress::off());
+        let _ = run_matrix(&spec, &Exec::new(workers).with_phases(&rec));
         let m = Manifest::build(
             "runner",
             &spec.to_json(),

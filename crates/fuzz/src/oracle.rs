@@ -47,7 +47,7 @@ use lvp_emu::{Emulator, RunOutcome, StopReason};
 use lvp_json::{Json, ToJson};
 use lvp_obs::{LifecycleReport, RingSink, RunMeta};
 use lvp_store::SimService;
-use lvp_uarch::{Core, ExecutionTier, FunctionalTier, SimConfig, SimStats};
+use lvp_uarch::{Core, FunctionalTier, SimConfig, SimStats};
 use std::collections::BTreeMap;
 
 /// Configuration for one oracle evaluation.
@@ -362,7 +362,7 @@ pub fn check_serviced(
             ),
         ));
     }
-    let fstats = FunctionalTier::new().run(trace);
+    let fstats = FunctionalTier.run(trace);
     if fstats.cycles != fstats.instructions {
         out.push(Finding::new(
             "-",

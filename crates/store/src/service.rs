@@ -88,11 +88,6 @@ impl SimService {
         self.memo.is_some()
     }
 
-    /// Whether results persist to disk.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
-    }
-
     /// The canonical key for a request document.
     pub fn key(&self, request: &Json) -> String {
         request_key(request)

@@ -117,15 +117,6 @@ pub struct Core<S: VpScheme, K: EventSink = NullSink> {
     /// `i - fetch_buffer` (finite fetch/decode queue).
     rename_hist: VecDeque<u64>,
     fetch_bound: u64,
-    /// Print a per-instruction pipeline trace for the first N instructions
-    /// (debugging aid).
-    verbose_until: u64,
-    /// Host-side busy-loop iterations per step (0 = off). A pure wall-clock
-    /// tax for the `bench --inject-slowdown` regression-gate proof: it
-    /// burns host time inside the hot step loop without reading or writing
-    /// any simulated state, so stats stay bit-identical. Deliberately not
-    /// part of [`CoreConfig`] — it must never serialize into an artifact.
-    host_spin: u32,
     /// Observability sink; purely write-only from the core's point of view.
     sink: K,
 }
@@ -172,24 +163,9 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
             granule_stores: HashMap::new(),
             rename_hist: VecDeque::new(),
             fetch_bound: 0,
-            verbose_until: 0,
-            host_spin: 0,
             sink,
             cfg,
         }
-    }
-
-    /// Enables a stderr pipeline trace for the first `n` instructions.
-    pub fn set_verbose(&mut self, n: u64) {
-        self.verbose_until = n;
-    }
-
-    /// Injects `iters` busy-loop iterations into every step — a deliberate
-    /// host-side slowdown that leaves all simulated state untouched. Used by
-    /// `bench --inject-slowdown` to prove the throughput regression gate
-    /// bites; see the `host_spin` field.
-    pub fn set_host_spin(&mut self, iters: u32) {
-        self.host_spin = iters;
     }
 
     /// Access to the scheme (for post-run counters).
@@ -198,21 +174,14 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
     }
 
     /// Runs the whole trace and returns the statistics.
-    pub fn run(mut self, trace: &Trace) -> SimStats {
-        for rec in trace.records() {
-            self.step(rec);
-        }
-        self.finalize();
-        self.stats
+    pub fn run(self, trace: &Trace) -> SimStats {
+        self.run_traced(trace).0
     }
 
     /// Runs the trace and also returns the scheme for counter inspection.
-    pub fn run_with_scheme(mut self, trace: &Trace) -> (SimStats, S) {
-        for rec in trace.records() {
-            self.step(rec);
-        }
-        self.finalize();
-        (self.stats, self.scheme)
+    pub fn run_with_scheme(self, trace: &Trace) -> (SimStats, S) {
+        let (stats, scheme, _) = self.run_traced(trace);
+        (stats, scheme)
     }
 
     /// Runs the trace and returns the statistics, the scheme and the sink
@@ -236,14 +205,6 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
 
     // ------------------------------------------------------------------
     fn step(&mut self, rec: &TraceRecord) {
-        if self.host_spin > 0 {
-            // Wall-clock tax only: no simulated state is read or written.
-            let mut x = 0u64;
-            for i in 0..self.host_spin as u64 {
-                x = std::hint::black_box(x ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            }
-            std::hint::black_box(x);
-        }
         self.stats.instructions += 1;
         let inst = rec.inst;
         let is_load = inst.is_load();
@@ -712,29 +673,6 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
                 ldq: occupancy.2,
                 stq: occupancy.3,
             });
-        }
-
-        if rec.seq < self.verbose_until {
-            eprintln!(
-                "#{:<6} {:#8x} F{:<6} R{:<6} I{:<6} X{:<6} C{:<6} cm{:<6} src{:<6} {}{}{} {}",
-                rec.seq,
-                rec.pc,
-                fetch_cycle,
-                rename_cycle,
-                issue_cycle,
-                exec_start,
-                complete,
-                commit_cycle,
-                src_ready,
-                if injected { "VP" } else { "  " },
-                if verdict.predicted && verdict.correct {
-                    "+"
-                } else {
-                    " "
-                },
-                if branch_mispredicted { "MISP" } else { "" },
-                inst
-            );
         }
 
         // ---- redirects (branch / violation / value misprediction) --------

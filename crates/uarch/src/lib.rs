@@ -39,9 +39,7 @@ pub use simconfig::{
     VtageConfig, VtageFilter, VtageTargets,
 };
 pub use stats::{fmt_pct, SamplingStats, SimStats, StatsError};
-pub use tier::{
-    run_sampled, run_sampled_trace, ExecutionTier, FunctionalTier, OooTier, SimpleTier,
-};
+pub use tier::{run_sampled, run_sampled_trace, FunctionalTier, SimpleTier};
 pub use vp::{
     ExecInfo, FetchCtx, FetchSlot, NoVp, OracleLoadVp, RenamePrediction, VpScheme, VpVerdict,
 };

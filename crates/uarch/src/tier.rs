@@ -1,16 +1,14 @@
-//! Pluggable execution tiers and the fast-forward + sampled driver.
+//! Cheaper execution tiers and the fast-forward + sampled driver.
 //!
 //! The cycle-level [`Core`] is one way to consume a trace; it
-//! is also by far the most expensive. This module abstracts "a thing that
-//! turns a trace into [`SimStats`]" behind [`ExecutionTier`] so harnesses
-//! can swap timing fidelity for speed:
+//! is also by far the most expensive. The tiers here turn a trace into
+//! [`SimStats`] with less timing fidelity, for harnesses that trade
+//! fidelity for speed:
 //!
 //! * [`FunctionalTier`] — atomic execution: architectural counters only,
 //!   one "cycle" per instruction. The speed ceiling of the simulator.
 //! * [`SimpleTier`] — a 1-cycle-per-instruction in-order timing model that
 //!   still charges real memory-hierarchy latencies for loads and stores.
-//! * [`OooTier`] — the full out-of-order core, unchanged: it produces
-//!   bit-identical stats to calling [`Core::run`] directly.
 //!
 //! [`run_sampled`] combines the tiers SMARTS-style: skip a fast-forward
 //! prefix functionally, then alternate per-period `warmup` windows (the
@@ -29,27 +27,12 @@ use lvp_mem::MemoryHierarchy;
 use lvp_obs::{EventSink, NullSink, ObsEvent, TierKind};
 use lvp_trace::{Trace, TraceRecord};
 
-/// Anything that can execute a trace and report statistics. The fidelity of
-/// the numbers — and the wall-clock cost of producing them — is the tier's
-/// choice; the contract is only that architectural counters (instructions,
-/// loads, stores, branches) reflect the trace exactly.
-pub trait ExecutionTier {
-    /// Short stable name for reports and bench phases.
-    fn name(&self) -> &'static str;
-
-    /// Executes the whole trace and returns the statistics.
-    fn run(&mut self, trace: &Trace) -> SimStats;
-}
-
-/// Burns host time without touching simulated state — the same wall-clock
-/// tax as [`Core::set_host_spin`], used by `bench --inject-slowdown` to
-/// prove the throughput gate bites on non-OoO tiers too.
-fn host_spin(iters: u32) {
-    if iters == 0 {
-        return;
-    }
+/// Burns `spin` busy-loop iterations per instruction of a finished
+/// `instructions`-long window: host time only, no simulated state is read
+/// or written.
+fn burn(spin: u32, instructions: u64) {
     let mut x = 0u64;
-    for i in 0..iters as u64 {
+    for i in 0..spin as u64 * instructions {
         x = std::hint::black_box(x ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     }
     std::hint::black_box(x);
@@ -71,33 +54,16 @@ fn count_arch(stats: &mut SimStats, rec: &TraceRecord) {
 
 /// Atomic functional execution: no timing model at all. Cycles are defined
 /// as the instruction count (IPC ≡ 1), every microarchitectural counter
-/// stays zero.
+/// stays zero. Architectural counters (instructions, loads, stores,
+/// branches) reflect the trace exactly, as on every tier.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct FunctionalTier {
-    spin: u32,
-}
+pub struct FunctionalTier;
 
 impl FunctionalTier {
-    /// Builds the tier.
-    pub fn new() -> FunctionalTier {
-        FunctionalTier::default()
-    }
-
-    /// Sets the per-instruction host busy-loop (see [`Core::set_host_spin`]).
-    pub fn set_host_spin(&mut self, iters: u32) {
-        self.spin = iters;
-    }
-}
-
-impl ExecutionTier for FunctionalTier {
-    fn name(&self) -> &'static str {
-        "functional"
-    }
-
-    fn run(&mut self, trace: &Trace) -> SimStats {
+    /// Executes the whole trace and returns the statistics.
+    pub fn run(&self, trace: &Trace) -> SimStats {
         let mut stats = SimStats::default();
         for rec in trace.records() {
-            host_spin(self.spin);
             count_arch(&mut stats, rec);
         }
         stats.cycles = stats.instructions;
@@ -113,31 +79,19 @@ impl ExecutionTier for FunctionalTier {
 #[derive(Debug, Clone)]
 pub struct SimpleTier {
     cfg: CoreConfig,
-    spin: u32,
 }
 
 impl SimpleTier {
     /// Builds the tier; the memory hierarchy comes from `cfg.mem`.
     pub fn new(cfg: CoreConfig) -> SimpleTier {
-        SimpleTier { cfg, spin: 0 }
+        SimpleTier { cfg }
     }
 
-    /// Sets the per-instruction host busy-loop (see [`Core::set_host_spin`]).
-    pub fn set_host_spin(&mut self, iters: u32) {
-        self.spin = iters;
-    }
-}
-
-impl ExecutionTier for SimpleTier {
-    fn name(&self) -> &'static str {
-        "simple"
-    }
-
-    fn run(&mut self, trace: &Trace) -> SimStats {
+    /// Executes the whole trace and returns the statistics.
+    pub fn run(&self, trace: &Trace) -> SimStats {
         let mut stats = SimStats::default();
         let mut mem = MemoryHierarchy::new(self.cfg.mem);
         for rec in trace.records() {
-            host_spin(self.spin);
             count_arch(&mut stats, rec);
             stats.cycles += 1;
             let is_load = rec.inst.is_load();
@@ -147,54 +101,6 @@ impl ExecutionTier for SimpleTier {
             }
         }
         stats.mem = mem.stats();
-        stats
-    }
-}
-
-/// The full out-of-order core as a tier. Running a trace through this is
-/// bit-identical to building a [`Core`] over the same config and scheme and
-/// calling [`Core::run`] — the tier only adds the plumbing that lets it sit
-/// behind the same interface as the cheap tiers.
-pub struct OooTier<S: VpScheme> {
-    cfg: CoreConfig,
-    scheme: Option<S>,
-    spin: u32,
-}
-
-impl<S: VpScheme> OooTier<S> {
-    /// Builds the tier around `scheme`.
-    pub fn new(cfg: CoreConfig, scheme: S) -> OooTier<S> {
-        OooTier {
-            cfg,
-            scheme: Some(scheme),
-            spin: 0,
-        }
-    }
-
-    /// Sets the per-instruction host busy-loop (see [`Core::set_host_spin`]).
-    pub fn set_host_spin(&mut self, iters: u32) {
-        self.spin = iters;
-    }
-
-    /// The scheme, for post-run counter inspection.
-    pub fn scheme(&self) -> &S {
-        self.scheme
-            .as_ref()
-            .expect("scheme is present between runs")
-    }
-}
-
-impl<S: VpScheme> ExecutionTier for OooTier<S> {
-    fn name(&self) -> &'static str {
-        "ooo"
-    }
-
-    fn run(&mut self, trace: &Trace) -> SimStats {
-        let scheme = self.scheme.take().expect("scheme is present between runs");
-        let mut core = Core::new(self.cfg.clone(), scheme);
-        core.set_host_spin(self.spin);
-        let (stats, scheme) = core.run_with_scheme(trace);
-        self.scheme = Some(scheme);
         stats
     }
 }
@@ -226,6 +132,11 @@ fn take_window<I: Iterator<Item = TraceRecord>>(records: &mut I, n: u64) -> Trac
 /// Returns the accumulated detail-window stats — with
 /// [`SimStats::sampling`] populated — and the scheme. Tier transitions are
 /// emitted into `sink` (pass [`NullSink`] to discard them).
+///
+/// `spin` is a host-side slowdown for wall-clock gate tests: after each
+/// warmup or detail window's core has run, `spin` busy-loop iterations per
+/// window instruction are burned. It never enters the core's step loop and
+/// leaves every simulated result unchanged; pass 0 to disable it.
 pub fn run_sampled<S, I, K>(
     cfg: &CoreConfig,
     mut scheme: S,
@@ -272,9 +183,8 @@ where
                     });
                 }
                 scheme.set_warm_only(true);
-                let mut core = Core::new(cfg.clone(), scheme);
-                core.set_host_spin(spin);
-                let (_, back) = core.run_with_scheme(&warm);
+                let (_, back) = Core::new(cfg.clone(), scheme).run_with_scheme(&warm);
+                burn(spin, warm.len() as u64);
                 scheme = back;
                 scheme.set_warm_only(false);
                 consumed += warm.len() as u64;
@@ -297,9 +207,8 @@ where
                 tier: TierKind::Detail,
             });
         }
-        let mut core = Core::new(cfg.clone(), scheme);
-        core.set_host_spin(spin);
-        let (stats, back) = core.run_with_scheme(&detail);
+        let (stats, back) = Core::new(cfg.clone(), scheme).run_with_scheme(&detail);
+        burn(spin, detail.len() as u64);
         scheme = back;
         consumed += detail.len() as u64;
         acct.windows += 1;
@@ -342,14 +251,13 @@ pub fn run_sampled_trace<S: VpScheme>(
     scheme: S,
     trace: &Trace,
     spec: SampleSpec,
-    spin: u32,
 ) -> (SimStats, S) {
     run_sampled(
         cfg,
         scheme,
         trace.records().iter().cloned(),
         spec,
-        spin,
+        0,
         NullSink,
     )
 }
@@ -367,24 +275,10 @@ mod tests {
     }
 
     #[test]
-    fn ooo_tier_is_bit_identical_to_direct_core_run() {
-        for name in ["aifirf", "nat", "viterbi"] {
-            let t = trace(name, 20_000);
-            let direct = simulate(&t, NoVp);
-            let mut tier = OooTier::new(CoreConfig::default(), NoVp);
-            assert_eq!(tier.name(), "ooo");
-            assert_eq!(tier.run(&t), direct, "{name}: tier != direct core run");
-            // A second run through the same tier reuses the (stateless)
-            // scheme.
-            assert_eq!(tier.run(&t), direct, "{name}: tier is not idempotent");
-        }
-    }
-
-    #[test]
     fn functional_tier_matches_ooo_architectural_counters() {
         let t = trace("nat", 20_000);
         let ooo = simulate(&t, NoVp);
-        let f = FunctionalTier::new().run(&t);
+        let f = FunctionalTier.run(&t);
         assert_eq!(f.instructions, ooo.instructions);
         assert_eq!(f.loads, ooo.loads);
         assert_eq!(f.stores, ooo.stores);
@@ -399,7 +293,7 @@ mod tests {
     #[test]
     fn simple_tier_sits_between_functional_and_ooo() {
         let t = trace("autcor", 20_000);
-        let mut tier = SimpleTier::new(CoreConfig::default());
+        let tier = SimpleTier::new(CoreConfig::default());
         let s = tier.run(&t);
         assert_eq!(s.instructions, t.len() as u64);
         assert!(
@@ -423,7 +317,7 @@ mod tests {
             detail: n,
             period: n,
         };
-        let (sampled, _) = run_sampled_trace(&CoreConfig::default(), NoVp, &t, spec, 0);
+        let (sampled, _) = run_sampled_trace(&CoreConfig::default(), NoVp, &t, spec);
         let mut full = simulate(&t, NoVp);
         assert_eq!(sampled.sampling.map(|s| s.windows), Some(1));
         full.sampling = sampled.sampling;
@@ -443,8 +337,8 @@ mod tests {
             period: 4_000,
         };
         let cfg = CoreConfig::default();
-        let (a, _) = run_sampled_trace(&cfg, NoVp, &t, spec, 0);
-        let (b, _) = run_sampled_trace(&cfg, NoVp, &t, spec, 0);
+        let (a, _) = run_sampled_trace(&cfg, NoVp, &t, spec);
+        let (b, _) = run_sampled_trace(&cfg, NoVp, &t, spec);
         assert_eq!(a, b, "sampling must be deterministic");
         let acct = a.sampling.expect("sampled stats carry accounting");
         assert_eq!(

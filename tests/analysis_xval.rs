@@ -8,6 +8,7 @@ use lvp_analysis::{LoadClass, ProgramAnalysis, XvalConfig};
 use lvp_bench::analysis::{
     analyze_workload, analyze_workloads, depgraph_json, report_json, total_violations,
 };
+use lvp_bench::Exec;
 use std::collections::HashMap;
 
 const BUDGET: u64 = 30_000;
@@ -171,6 +172,7 @@ fn report_is_byte_deterministic() {
         PapConfig::default(),
         DlvpConfig::default(),
         &cfg,
+        &Exec::new(1),
     );
     let b = analyze_workloads(
         &ws,
@@ -178,6 +180,7 @@ fn report_is_byte_deterministic() {
         PapConfig::default(),
         DlvpConfig::default(),
         &cfg,
+        &Exec::new(1),
     );
     assert_eq!(
         report_json(&a, BUDGET).pretty(),

@@ -6,7 +6,7 @@
 //! `cargo run --release -p lvp-bench --bin runner -- <same spec> --update-golden results/golden/small.json`.
 
 use lvp_bench::runner::{check_against_golden, diff_matrices, run_matrix, Tolerances};
-use lvp_bench::{ConfigVariant, MatrixSpec, SchemeKind};
+use lvp_bench::{ConfigVariant, Exec, MatrixSpec, SchemeKind};
 use lvp_json::Json;
 use std::path::Path;
 
@@ -33,7 +33,7 @@ fn golden_path() -> &'static Path {
 
 #[test]
 fn stats_match_committed_golden_snapshot() {
-    let results = run_matrix(&golden_spec(), 4);
+    let results = run_matrix(&golden_spec(), &Exec::new(4));
     let drifts = check_against_golden(&results, golden_path(), Tolerances::default())
         .expect("golden snapshot must exist and parse");
     assert!(

@@ -8,7 +8,7 @@
 //! failing case is identified by its case index.
 
 use lvp_bench::runner::{run_matrix, ConfigVariant, MatrixSpec};
-use lvp_bench::SchemeKind;
+use lvp_bench::{Exec, SchemeKind};
 use lvp_emu::Emulator;
 use lvp_isa::{AluOp, Asm, MemSize, Reg};
 use lvp_uarch::{simulate, NoVp};
@@ -349,14 +349,14 @@ fn matrix_runner_is_schedule_invariant() {
         budget: 8_000,
         sample: None,
     };
-    let one_a = run_matrix(&spec, 1);
-    let one_b = run_matrix(&spec, 1);
+    let one_a = run_matrix(&spec, &Exec::new(1));
+    let one_b = run_matrix(&spec, &Exec::new(1));
     assert_eq!(
         one_a, one_b,
         "same spec, same worker count must be identical"
     );
 
-    let four = run_matrix(&spec, 4);
+    let four = run_matrix(&spec, &Exec::new(4));
     assert_eq!(one_a, four, "1-thread and 4-thread runs must be identical");
     assert_eq!(
         one_a.to_json().pretty(),
