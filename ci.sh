@@ -19,6 +19,10 @@ CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked \
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== sampler accuracy (release; sampled DLVP IPC within 5% of full detail) =="
+cargo test --release -q -p lvp-bench --test sampled_accuracy -- --ignored \
+  sampled_tracks_full_detail
+
 echo "== fmt =="
 cargo fmt --all -- --check
 

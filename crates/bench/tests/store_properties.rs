@@ -124,6 +124,43 @@ fn schema_version_bump_invalidates_stored_entries() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Sampled results changed meaning when the sampler started keeping one
+/// long-lived core per run. A sampled job's key must have moved off its
+/// schema-1 key, so a store filled by the cold-window sampler misses
+/// instead of serving a result the current model would not produce.
+#[test]
+fn sampled_job_keys_moved_past_the_cold_window_sampler() {
+    let spec = MatrixSpec {
+        workloads: vec!["aifirf".into()],
+        schemes: vec![SchemeKind::Dlvp],
+        variants: vec![ConfigVariant::Default],
+        budget: 30_000,
+        sample: Some(lvp_bench::perf::TIER_SAMPLE),
+    };
+    let job = &spec.expand()[0];
+    let fingerprint = lvp_workloads::by_name(&job.workload)
+        .expect("workload")
+        .trace(job.budget)
+        .fingerprint();
+    let doc = sim_request_doc(fingerprint, job.budget, job.scheme.name(), &job.config());
+    let stale_key = request_key_versioned(&doc, 1);
+    assert_ne!(request_key(&doc), stale_key, "sampled key did not move");
+
+    // A result left by the old sampler under the schema-1 key is never read.
+    let dir = temp_dir("sampled-schema");
+    Store::open(&dir)
+        .expect("open store")
+        .put(&stale_key, &Json::obj([("cycles", Json::U64(7))]))
+        .expect("put");
+    let svc = SimService::open(&dir).expect("open service");
+    let served = run_matrix(&spec, &Exec::new(1).with_service(&svc));
+    assert_eq!(svc.counters().hits, 0);
+    assert_eq!(svc.counters().misses, 1);
+    let fresh = run_matrix(&spec, &Exec::new(1));
+    assert_eq!(served.to_json().pretty(), fresh.to_json().pretty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn matrix_results_and_stored_keys_are_jobs_invariant() {
     let spec = MatrixSpec {

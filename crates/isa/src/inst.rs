@@ -341,6 +341,57 @@ pub enum Instruction {
     Blr { rn: Reg },
 }
 
+/// An instruction's destination registers, held inline: at most one per
+/// architectural register, so the longest LDM list fits without touching
+/// the heap. Dereferences to a slice in write order.
+#[derive(Clone, Copy)]
+pub struct Dests {
+    regs: [Reg; Reg::COUNT],
+    len: u8,
+}
+
+impl Dests {
+    const EMPTY: Dests = Dests {
+        regs: [Reg::ZR; Reg::COUNT],
+        len: 0,
+    };
+
+    fn push(&mut self, r: Reg) {
+        self.regs[self.len as usize] = r;
+        self.len += 1;
+    }
+
+    /// Pushes `r` unless it is the zero register.
+    fn push_live(&mut self, r: Reg) {
+        if !r.is_zero() {
+            self.push(r);
+        }
+    }
+}
+
+impl std::ops::Deref for Dests {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+}
+
+impl fmt::Debug for Dests {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl IntoIterator for Dests {
+    type Item = Reg;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Reg, { Reg::COUNT }>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(self.len as usize)
+    }
+}
+
 /// Up to four source registers, padded with `None`.
 pub type Sources = [Option<Reg>; 4];
 
@@ -436,22 +487,29 @@ impl Instruction {
 
     /// Destination registers, in write order. Empty for stores/branches.
     /// Writes to the zero register are filtered out (they are architectural
-    /// no-ops).
-    pub fn dests(self) -> Vec<Reg> {
-        let keep = |r: Reg| if r.is_zero() { None } else { Some(r) };
+    /// no-ops). The list is held inline, so asking for it never allocates.
+    pub fn dests(self) -> Dests {
+        let mut d = Dests::EMPTY;
         match self {
             Instruction::Alu { rd, .. }
             | Instruction::AluImm { rd, .. }
             | Instruction::MovImm { rd, .. }
             | Instruction::Ldr { rd, .. }
             | Instruction::Ldar { rd, .. }
-            | Instruction::LdrIdx { rd, .. } => keep(rd).into_iter().collect(),
-            Instruction::Ldp { rd1, rd2, .. } => keep(rd1).into_iter().chain(keep(rd2)).collect(),
-            Instruction::Ldm { list, .. } => list.iter().collect(),
-            Instruction::Vld { vd, .. } => vec![vd, Reg::x(vd.index() as u8 + 1)],
-            Instruction::Bl { .. } | Instruction::Blr { .. } => vec![Reg::LR],
-            _ => Vec::new(),
+            | Instruction::LdrIdx { rd, .. } => d.push_live(rd),
+            Instruction::Ldp { rd1, rd2, .. } => {
+                d.push_live(rd1);
+                d.push_live(rd2);
+            }
+            Instruction::Ldm { list, .. } => list.iter().for_each(|r| d.push(r)),
+            Instruction::Vld { vd, .. } => {
+                d.push(vd);
+                d.push(Reg::x(vd.index() as u8 + 1));
+            }
+            Instruction::Bl { .. } | Instruction::Blr { .. } => d.push(Reg::LR),
+            _ => {}
         }
+        d
     }
 
     /// Number of 64-bit destination chunks a value predictor must cover for
@@ -690,7 +748,7 @@ mod tests {
             offset: 16,
         };
         assert!(i.is_load());
-        assert_eq!(i.dests(), vec![Reg::X1, Reg::X2]);
+        assert_eq!(*i.dests(), [Reg::X1, Reg::X2]);
         assert_eq!(i.dest_chunks(), 2);
         assert_eq!(i.mem_bytes(), Some(16));
         assert_eq!(i.sources()[0], Some(Reg::X0));
@@ -702,8 +760,21 @@ mod tests {
         let list = RegList::of(&[Reg::X1, Reg::X2, Reg::X3, Reg::X9]);
         let i = Instruction::Ldm { list, rn: Reg::X0 };
         assert_eq!(i.dest_chunks(), 4);
+        assert_eq!(*i.dests(), [Reg::X1, Reg::X2, Reg::X3, Reg::X9]);
         assert_eq!(i.mem_bytes(), Some(32));
         assert_eq!(i.op_class(), OpClass::Load);
+    }
+
+    #[test]
+    fn every_register_list_fits_the_inline_dests() {
+        let all = RegList(u32::MAX);
+        let i = Instruction::Ldm {
+            list: all,
+            rn: Reg::X0,
+        };
+        let dests: Vec<Reg> = i.dests().into_iter().collect();
+        assert_eq!(dests, all.iter().collect::<Vec<_>>());
+        assert_eq!(i.dest_chunks(), Reg::COUNT);
     }
 
     #[test]
@@ -713,7 +784,7 @@ mod tests {
             rn: Reg::X0,
             offset: 0,
         };
-        assert_eq!(i.dests(), vec![Reg::X10, Reg::X11]);
+        assert_eq!(*i.dests(), [Reg::X10, Reg::X11]);
         assert_eq!(i.mem_bytes(), Some(16));
     }
 

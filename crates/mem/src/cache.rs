@@ -21,19 +21,68 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
+    /// Number of sets implied by the geometry, or why the geometry cannot
+    /// be built as a flat power-of-two array.
+    pub fn geometry(&self) -> Result<u64, GeometryError> {
+        set_count(self.size_bytes, self.ways, self.block_bytes)
+    }
+
     /// Number of sets implied by the geometry.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is not a power-of-two set count ≥ 1.
+    /// Panics if [`CacheConfig::geometry`] rejects the geometry.
     pub fn sets(&self) -> u64 {
-        let sets = self.size_bytes / (self.ways as u64 * self.block_bytes);
-        assert!(
-            sets >= 1 && sets.is_power_of_two(),
-            "set count must be a power of two"
-        );
-        sets
+        match self.geometry() {
+            Ok(sets) => sets,
+            Err(e) => panic!("{e}"),
+        }
     }
+}
+
+/// Why a cache or TLB geometry cannot be built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GeometryError {
+    /// The structure has no ways.
+    ZeroWays,
+    /// The block (or page) size is not a power of two.
+    BlockNotPowerOfTwo(u64),
+    /// The implied set count is zero or not a power of two.
+    SetsNotPowerOfTwo(u64),
+}
+
+impl std::fmt::Display for GeometryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GeometryError::ZeroWays => write!(f, "ways must be non-zero"),
+            GeometryError::BlockNotPowerOfTwo(b) => {
+                write!(f, "block size must be a power of two (got {b})")
+            }
+            GeometryError::SetsNotPowerOfTwo(s) => {
+                write!(f, "set count must be a power of two (got {s})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GeometryError {}
+
+/// Set count of a `capacity`-byte (or -entry) structure with `ways` ways of
+/// `block`-sized lines.
+pub(crate) fn set_count(capacity: u64, ways: usize, block: u64) -> Result<u64, GeometryError> {
+    if ways == 0 {
+        return Err(GeometryError::ZeroWays);
+    }
+    if !block.is_power_of_two() {
+        return Err(GeometryError::BlockNotPowerOfTwo(block));
+    }
+    let sets = (ways as u64)
+        .checked_mul(block)
+        .map_or(0, |per_set| capacity / per_set);
+    if !sets.is_power_of_two() {
+        return Err(GeometryError::SetsNotPowerOfTwo(sets));
+    }
+    Ok(sets)
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -77,22 +126,36 @@ pub struct Access {
     pub way: usize,
 }
 
-/// A single cache level.
+/// A single cache level: `sets × ways` lines in one flat array, set `s`
+/// occupying `lines[s * ways .. (s + 1) * ways]`. Block and set counts are
+/// powers of two, so indexing is a shift and a mask.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    lines: Vec<Line>,
+    /// log2 of the block size.
+    block_shift: u32,
+    /// log2 of the set count.
+    set_shift: u32,
+    set_mask: u64,
     tick: u64,
     stats: CacheStats,
 }
 
 impl Cache {
     /// Builds an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`CacheConfig::geometry`] rejects the geometry.
     pub fn new(cfg: CacheConfig) -> Cache {
-        let sets = cfg.sets() as usize;
+        let sets = cfg.sets();
         Cache {
             cfg,
-            sets: vec![vec![Line::default(); cfg.ways]; sets],
+            lines: vec![Line::default(); sets as usize * cfg.ways],
+            block_shift: cfg.block_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets - 1,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -108,35 +171,53 @@ impl Cache {
         self.stats
     }
 
-    fn index_tag(&self, addr: u64) -> (usize, u64) {
-        let block = addr / self.cfg.block_bytes;
-        let sets = self.sets.len() as u64;
-        ((block % sets) as usize, block / sets)
+    /// Zeroes the counters; resident lines and LRU order are kept.
+    pub fn reset_stats(&mut self) {
+        self.stats = CacheStats::default();
     }
 
-    fn touch(&mut self, set: usize, way: usize) {
+    /// Index of the set's first line, and the tag.
+    fn index_tag(&self, addr: u64) -> (usize, u64) {
+        let block = addr >> self.block_shift;
+        (
+            (block & self.set_mask) as usize * self.cfg.ways,
+            block >> self.set_shift,
+        )
+    }
+
+    fn set(&self, base: usize) -> &[Line] {
+        &self.lines[base..base + self.cfg.ways]
+    }
+
+    fn touch(&mut self, base: usize, way: usize) {
         self.tick += 1;
-        self.sets[set][way].lru = self.tick;
+        self.lines[base + way].lru = self.tick;
+    }
+
+    /// Installs `tag` in the set's victim way and returns the way.
+    fn fill(&mut self, base: usize, tag: u64) -> usize {
+        let way = self.victim(base);
+        self.lines[base + way] = Line {
+            tag,
+            valid: true,
+            lru: 0,
+        };
+        self.touch(base, way);
+        way
     }
 
     /// Demand access: looks up `addr`, allocating (LRU) on miss. Returns
     /// whether it hit and the resident way.
     pub fn access(&mut self, addr: u64) -> Access {
         self.stats.accesses += 1;
-        let (set, tag) = self.index_tag(addr);
-        if let Some(way) = self.find(set, tag) {
+        let (base, tag) = self.index_tag(addr);
+        if let Some(way) = self.find(base, tag) {
             self.stats.hits += 1;
-            self.touch(set, way);
+            self.touch(base, way);
             return Access { hit: true, way };
         }
         self.stats.misses += 1;
-        let way = self.victim(set);
-        self.sets[set][way] = Line {
-            tag,
-            valid: true,
-            lru: 0,
-        };
-        self.touch(set, way);
+        let way = self.fill(base, tag);
         Access { hit: false, way }
     }
 
@@ -145,11 +226,11 @@ impl Cache {
     /// real read of the data array.
     pub fn probe(&mut self, addr: u64) -> Option<usize> {
         self.stats.probes += 1;
-        let (set, tag) = self.index_tag(addr);
-        let way = self.find(set, tag);
+        let (base, tag) = self.index_tag(addr);
+        let way = self.find(base, tag);
         if let Some(w) = way {
             self.stats.probe_hits += 1;
-            self.touch(set, w);
+            self.touch(base, w);
         }
         way
     }
@@ -157,49 +238,45 @@ impl Cache {
     /// Pure lookup with no statistics or LRU effect (way-prediction check,
     /// test assertions).
     pub fn lookup(&self, addr: u64) -> Option<usize> {
-        let (set, tag) = self.index_tag(addr);
-        self.find(set, tag)
+        let (base, tag) = self.index_tag(addr);
+        self.find(base, tag)
     }
 
     /// Fills `addr` without counting a demand access (prefetch fill). If the
     /// block is already resident this is a no-op. Returns true if a new line
     /// was brought in.
     pub fn prefetch_fill(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.index_tag(addr);
-        if self.find(set, tag).is_some() {
+        let (base, tag) = self.index_tag(addr);
+        if self.find(base, tag).is_some() {
             return false;
         }
-        let way = self.victim(set);
-        self.sets[set][way] = Line {
-            tag,
-            valid: true,
-            lru: 0,
-        };
-        self.touch(set, way);
+        self.fill(base, tag);
         self.stats.prefetch_fills += 1;
         true
     }
 
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        self.sets[set].iter().position(|l| l.valid && l.tag == tag)
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        self.set(base).iter().position(|l| l.valid && l.tag == tag)
     }
 
-    fn victim(&self, set: usize) -> usize {
-        // Invalid way first, else true LRU.
-        if let Some(w) = self.sets[set].iter().position(|l| !l.valid) {
+    fn victim(&self, base: usize) -> usize {
+        // Invalid way first, else true LRU (the lowest way on ties).
+        let set = self.set(base);
+        if let Some(w) = set.iter().position(|l| !l.valid) {
             return w;
         }
-        self.sets[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.lru)
-            .map(|(w, _)| w)
-            .expect("cache ways must be non-zero")
+        let mut victim = 0;
+        for (w, l) in set.iter().enumerate().skip(1) {
+            if l.lru < set[victim].lru {
+                victim = w;
+            }
+        }
+        victim
     }
 
     /// Block-aligns an address.
     pub fn block_of(&self, addr: u64) -> u64 {
-        addr / self.cfg.block_bytes * self.cfg.block_bytes
+        addr >> self.block_shift << self.block_shift
     }
 }
 
@@ -282,6 +359,39 @@ mod tests {
         assert!(!c.prefetch_fill(0x44), "same block already resident");
         assert_eq!(c.stats().prefetch_fills, 1);
         assert!(c.access(0x40).hit, "prefetched block hits on demand");
+    }
+
+    #[test]
+    fn geometry_errors_are_typed() {
+        let cfg = tiny().config();
+        assert_eq!(cfg.geometry(), Ok(2));
+        let zero_ways = CacheConfig { ways: 0, ..cfg };
+        assert_eq!(zero_ways.geometry(), Err(GeometryError::ZeroWays));
+        let odd_block = CacheConfig {
+            block_bytes: 48,
+            ..cfg
+        };
+        assert_eq!(
+            odd_block.geometry(),
+            Err(GeometryError::BlockNotPowerOfTwo(48))
+        );
+        let odd_sets = CacheConfig {
+            size_bytes: 384,
+            ..cfg
+        };
+        assert_eq!(
+            odd_sets.geometry(),
+            Err(GeometryError::SetsNotPowerOfTwo(3))
+        );
+    }
+
+    #[test]
+    fn stats_reset_keeps_resident_lines() {
+        let mut c = tiny();
+        c.access(0x40);
+        c.reset_stats();
+        assert_eq!(c.stats(), CacheStats::default());
+        assert!(c.access(0x40).hit);
     }
 
     #[test]

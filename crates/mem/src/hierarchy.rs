@@ -259,6 +259,18 @@ impl MemoryHierarchy {
         self.l1d.lookup(addr)
     }
 
+    /// Zeroes every counter while keeping all resident state: cache lines,
+    /// translations and the trained prefetcher. A long-lived core calls
+    /// this at each window start, so a window's statistics are its own.
+    pub fn reset_stats(&mut self) {
+        for cache in [&mut self.l1i, &mut self.l1d, &mut self.l2, &mut self.l3] {
+            cache.reset_stats();
+        }
+        self.tlb.reset_stats();
+        self.prefetcher.reset_stats();
+        self.dlvp_prefetches = 0;
+    }
+
     /// Snapshot of all counters.
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
@@ -366,6 +378,20 @@ mod tests {
             m.access_data(0x80, 0x10_0000 + i * 64, true);
         }
         assert_eq!(m.stats().prefetch.prefetches, 0);
+    }
+
+    #[test]
+    fn reset_stats_keeps_resident_state() {
+        let mut m = h();
+        m.fetch_inst(0x1000);
+        m.access_data(0x40, 0x5_0000, true);
+        m.dlvp_prefetch(0x6_0000);
+        m.reset_stats();
+        assert_eq!(m.stats(), HierarchyStats::default());
+        assert_eq!(m.fetch_inst(0x1000), 1, "L1I line survives");
+        let again = m.access_data(0x40, 0x5_0000, true);
+        assert_eq!(again.served_by, ServedBy::L1);
+        assert!(!again.tlb_miss, "translation survives");
     }
 
     #[test]

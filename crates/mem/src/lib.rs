@@ -28,7 +28,7 @@ mod json;
 pub mod prefetch;
 pub mod tlb;
 
-pub use cache::{Access, Cache, CacheConfig, CacheStats};
+pub use cache::{Access, Cache, CacheConfig, CacheStats, GeometryError};
 pub use hierarchy::{
     DataAccess, HierarchyConfig, HierarchyStats, MemoryHierarchy, ProbeOutcome, ServedBy,
 };

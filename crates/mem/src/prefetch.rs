@@ -82,6 +82,11 @@ impl StridePrefetcher {
         self.stats
     }
 
+    /// Zeroes the counters; the trained table is kept.
+    pub fn reset_stats(&mut self) {
+        self.stats = StrideStats::default();
+    }
+
     /// Observes a demand access by the load at `pc` to `addr`; returns the
     /// address to prefetch, if the entry is confident.
     pub fn train(&mut self, pc: u64, addr: u64) -> Option<u64> {

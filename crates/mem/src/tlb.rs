@@ -1,6 +1,8 @@
 //! Data TLB: 512-entry, 8-way set-associative over 4 KiB pages (paper
 //! Table 4), with a fixed page-walk penalty on miss.
 
+use crate::cache::{set_count, GeometryError};
+
 /// TLB configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
@@ -19,6 +21,17 @@ impl Default for TlbConfig {
             page_bytes: 4096,
             miss_penalty: 30,
         }
+    }
+}
+
+impl TlbConfig {
+    /// Number of sets implied by the geometry, or why the geometry cannot
+    /// be built as a flat power-of-two array.
+    pub fn geometry(&self) -> Result<u64, GeometryError> {
+        if !self.page_bytes.is_power_of_two() {
+            return Err(GeometryError::BlockNotPowerOfTwo(self.page_bytes));
+        }
+        set_count(self.entries as u64, self.ways, 1)
     }
 }
 
@@ -44,11 +57,14 @@ impl TlbStats {
     }
 }
 
-/// A set-associative TLB.
+/// A set-associative TLB: `sets × ways` entries in one flat array, indexed
+/// by shift and mask like [`crate::Cache`].
 #[derive(Debug, Clone)]
 pub struct Tlb {
     cfg: TlbConfig,
-    sets: Vec<Vec<TlbLine>>,
+    lines: Vec<TlbLine>,
+    page_shift: u32,
+    set_mask: u64,
     tick: u64,
     stats: TlbStats,
 }
@@ -58,16 +74,17 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not divisible into a power-of-two set count.
+    /// Panics if [`TlbConfig::geometry`] rejects the geometry.
     pub fn new(cfg: TlbConfig) -> Tlb {
-        let sets = cfg.entries / cfg.ways;
-        assert!(
-            sets >= 1 && sets.is_power_of_two(),
-            "TLB set count must be a power of two"
-        );
+        let sets = match cfg.geometry() {
+            Ok(sets) => sets,
+            Err(e) => panic!("TLB {e}"),
+        };
         Tlb {
             cfg,
-            sets: vec![vec![TlbLine::default(); cfg.ways]; sets],
+            lines: vec![TlbLine::default(); sets as usize * cfg.ways],
+            page_shift: cfg.page_bytes.trailing_zeros(),
+            set_mask: sets - 1,
             tick: 0,
             stats: TlbStats::default(),
         }
@@ -83,25 +100,39 @@ impl Tlb {
         self.stats
     }
 
+    /// Zeroes the counters; resident translations are kept.
+    pub fn reset_stats(&mut self) {
+        self.stats = TlbStats::default();
+    }
+
+    /// The virtual page number of `addr` and the lines of its set.
+    fn set_of(&self, addr: u64) -> (u64, std::ops::Range<usize>) {
+        let vpn = addr >> self.page_shift;
+        let base = (vpn & self.set_mask) as usize * self.cfg.ways;
+        (vpn, base..base + self.cfg.ways)
+    }
+
     /// Translates `addr`; returns the added latency (0 on hit, the walk
     /// penalty on miss) and fills on miss.
     pub fn access(&mut self, addr: u64) -> u32 {
         self.stats.accesses += 1;
-        let vpn = addr / self.cfg.page_bytes;
-        let set = (vpn % self.sets.len() as u64) as usize;
+        let (vpn, set) = self.set_of(addr);
         self.tick += 1;
-        if let Some(l) = self.sets[set].iter_mut().find(|l| l.valid && l.vpn == vpn) {
+        let lines = &mut self.lines[set];
+        if let Some(l) = lines.iter_mut().find(|l| l.valid && l.vpn == vpn) {
             l.lru = self.tick;
             return 0;
         }
         self.stats.misses += 1;
-        let victim = self.sets[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.lru } else { 0 })
-            .map(|(w, _)| w)
-            .expect("TLB ways must be non-zero");
-        self.sets[set][victim] = TlbLine {
+        // An invalid way first, else true LRU (the lowest way on ties).
+        let key = |l: &TlbLine| if l.valid { l.lru } else { 0 };
+        let mut victim = 0;
+        for w in 1..lines.len() {
+            if key(&lines[w]) < key(&lines[victim]) {
+                victim = w;
+            }
+        }
+        lines[victim] = TlbLine {
             vpn,
             valid: true,
             lru: self.tick,
@@ -111,9 +142,8 @@ impl Tlb {
 
     /// Pure lookup (no fill, no stats) — used by tests.
     pub fn contains(&self, addr: u64) -> bool {
-        let vpn = addr / self.cfg.page_bytes;
-        let set = (vpn % self.sets.len() as u64) as usize;
-        self.sets[set].iter().any(|l| l.valid && l.vpn == vpn)
+        let (vpn, set) = self.set_of(addr);
+        self.lines[set].iter().any(|l| l.valid && l.vpn == vpn)
     }
 }
 
@@ -159,6 +189,22 @@ mod tests {
         assert_eq!(cfg.ways, 8);
         let t = Tlb::new(cfg);
         assert_eq!(t.config().page_bytes, 4096);
+    }
+
+    #[test]
+    fn geometry_errors_are_typed() {
+        let cfg = TlbConfig::default();
+        assert_eq!(cfg.geometry(), Ok(64));
+        let zero_ways = TlbConfig { ways: 0, ..cfg };
+        assert_eq!(zero_ways.geometry(), Err(GeometryError::ZeroWays));
+        let odd_page = TlbConfig {
+            page_bytes: 3000,
+            ..cfg
+        };
+        assert_eq!(
+            odd_page.geometry(),
+            Err(GeometryError::BlockNotPowerOfTwo(3000))
+        );
     }
 
     #[test]

@@ -20,7 +20,11 @@ use lvp_json::Json;
 /// Version stamp mixed into every key. Bump when the meaning of cached
 /// payloads changes so stale entries become unreachable instead of being
 /// misinterpreted.
-pub const KEY_SCHEMA_VERSION: u64 = 1;
+///
+/// * 1 — the initial layout.
+/// * 2 — sampled runs stream every window through one long-lived core, so
+///   results stored by the cold-window sampler no longer match the model.
+pub const KEY_SCHEMA_VERSION: u64 = 2;
 
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;

@@ -35,11 +35,21 @@ impl TraceRecord {
 
     /// All loaded/stored 64-bit chunks in order.
     pub fn all_values(&self) -> Vec<u64> {
-        let mut v = vec![self.value];
-        if let Some(extra) = &self.extra_values {
-            v.extend_from_slice(extra);
-        }
+        let mut v = Vec::new();
+        self.values_into(&mut v);
         v
+    }
+
+    /// All loaded/stored 64-bit chunks in order, gathered into `buf`
+    /// (cleared first). Allocation-free whenever `buf` already has room for
+    /// every chunk, which is how the timing model reads values per step.
+    pub fn values_into<'a>(&self, buf: &'a mut Vec<u64>) -> &'a [u64] {
+        buf.clear();
+        buf.push(self.value);
+        if let Some(extra) = &self.extra_values {
+            buf.extend_from_slice(extra);
+        }
+        buf
     }
 
     /// Convenience view for load records, used by the standalone predictor
@@ -310,6 +320,9 @@ mod tests {
         r.extra_values = Some(vec![2, 3].into_boxed_slice());
         assert_eq!(r.all_values(), vec![1, 2, 3]);
         assert_eq!(load(0, 0, 9).all_values(), vec![9]);
+        let mut buf = Vec::with_capacity(4);
+        assert_eq!(r.values_into(&mut buf), [1, 2, 3]);
+        assert_eq!(load(0, 0, 9).values_into(&mut buf), [9]);
     }
 
     #[test]

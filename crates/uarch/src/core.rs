@@ -11,11 +11,19 @@
 //! Because the trace contains only correct-path instructions, flushes are
 //! modelled as fetch redirects: everything younger simply refetches after
 //! the resolve cycle, which is exactly the timing effect of a squash.
+//!
+//! A core is long-lived: [`Core::run_window`] streams one window of records
+//! through it and returns that window's statistics. Each window starts with
+//! an empty pipeline at the previous window's last commit cycle, while
+//! everything that learns — caches, TLB, prefetcher, branch predictors,
+//! store sets and the value-prediction scheme — carries over. The sampled
+//! driver ([`crate::run_sampled`]) runs every window of a stream on one
+//! core; [`Core::run`] is a single window on a fresh core.
 
 use crate::config::{BranchPredictorKind, CoreConfig, RecoveryMode};
 use crate::lanes::LaneTracker;
 use crate::mdp::{MdpConfig, StoreSets};
-use crate::stats::SimStats;
+use crate::stats::{PcLoadStats, SimStats};
 use crate::vp::{ExecInfo, FetchCtx, FetchSlot, VpScheme};
 use crate::vpe::{InjectOutcome, Vpe};
 use lvp_branch::{Btb, GlobalHistory, Gshare, Ittage, Ras, Tage};
@@ -23,8 +31,9 @@ use lvp_isa::{BranchKind, OpClass, Reg};
 use lvp_mem::MemoryHierarchy;
 use lvp_obs::{EventSink, InjectBlock, NullSink, ObsEvent, RedirectCause, VerifyOutcome};
 use lvp_trace::{Trace, TraceRecord};
+use std::borrow::Borrow;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
 /// The conditional-branch direction predictor behind the config knob.
 #[derive(Debug)]
@@ -117,6 +126,13 @@ pub struct Core<S: VpScheme, K: EventSink = NullSink> {
     /// `i - fetch_buffer` (finite fetch/decode queue).
     rename_hist: VecDeque<u64>,
     fetch_bound: u64,
+    /// Commit cycle the current window started from.
+    base_cycle: u64,
+    /// Per-load-PC counters of the current window. Entries are zeroed, not
+    /// removed, between windows, so stepping a known load never allocates.
+    per_pc: BTreeMap<u64, PcLoadStats>,
+    /// Gather buffer for the executing record's value chunks.
+    values: Vec<u64>,
     /// Observability sink; purely write-only from the core's point of view.
     sink: K,
 }
@@ -163,6 +179,9 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
             granule_stores: HashMap::new(),
             rename_hist: VecDeque::new(),
             fetch_bound: 0,
+            base_cycle: 0,
+            per_pc: BTreeMap::new(),
+            values: Vec::with_capacity(Reg::COUNT),
             sink,
             cfg,
         }
@@ -173,7 +192,19 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
         &self.scheme
     }
 
-    /// Runs the whole trace and returns the statistics.
+    /// Mutable access to the scheme between windows (e.g. to gate it
+    /// warm-only).
+    pub fn scheme_mut(&mut self) -> &mut S {
+        &mut self.scheme
+    }
+
+    /// Consumes the core, returning the scheme.
+    pub fn into_scheme(self) -> S {
+        self.scheme
+    }
+
+    /// Runs the whole trace as one window on this fresh core and returns
+    /// the statistics.
     pub fn run(self, trace: &Trace) -> SimStats {
         self.run_traced(trace).0
     }
@@ -187,20 +218,77 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
     /// Runs the trace and returns the statistics, the scheme and the sink
     /// (holding whatever the sink recorded).
     pub fn run_traced(mut self, trace: &Trace) -> (SimStats, S, K) {
-        for rec in trace.records() {
-            self.step(rec);
-        }
-        self.finalize();
-        (self.stats, self.scheme, self.sink)
+        let stats = self.run_window(trace.records());
+        (stats, self.scheme, self.sink)
     }
 
-    fn finalize(&mut self) {
-        self.stats.cycles = self.commit_cycle_cursor;
-        self.stats.mem = self.mem.stats();
+    /// Streams one window of records through the core and returns the
+    /// window's statistics.
+    ///
+    /// The window starts with the pipeline drained: no instruction in the
+    /// ROB, queues or physical registers, no store in flight, and fetch,
+    /// rename and commit resuming at the last commit cycle. Cycles stay
+    /// monotonic across windows, so lane bookings and PVT entries left by
+    /// the previous window are simply in the past. The caches, TLB,
+    /// prefetcher, branch predictors, store-set table and scheme persist.
+    /// The returned `cycles` and every counter cover this window alone;
+    /// on a fresh core the window is exactly an unsampled run.
+    pub fn run_window<I>(&mut self, records: I) -> SimStats
+    where
+        I: IntoIterator,
+        I::Item: Borrow<TraceRecord>,
+    {
+        self.begin_window();
+        for rec in records {
+            self.step(rec.borrow());
+        }
+        self.end_window()
+    }
+
+    fn begin_window(&mut self) {
+        let base = self.commit_cycle_cursor;
+        self.base_cycle = base;
+        self.next_fetch_cycle = base;
+        self.group_fga = u64::MAX;
+        self.group_cycle = base;
+        self.group_count = 0;
+        self.group_loads = 0;
+        self.group_break = true;
+        self.rename_cycle_cursor = base;
+        self.rename_in_cycle = 0;
+        self.commit_in_cycle = 0;
+        self.fetch_bound = base;
+        self.rob.clear();
+        self.iq.clear();
+        self.ldq.clear();
+        self.stq.clear();
+        self.prf.clear();
+        self.reg_avail = [base; Reg::COUNT];
+        self.granule_stores.clear();
+        self.rename_hist.clear();
+        self.mdp.clear_in_flight();
+        self.mem.reset_stats();
+        self.vpe.reset_stats();
+        self.per_pc
+            .values_mut()
+            .for_each(|s| *s = PcLoadStats::default());
+    }
+
+    fn end_window(&mut self) -> SimStats {
+        let mut stats = std::mem::take(&mut self.stats);
+        stats.cycles = self.commit_cycle_cursor - self.base_cycle;
+        stats.mem = self.mem.stats();
         let vpe = self.vpe.stats();
-        self.stats.pvt_writes = vpe.pvt_writes;
-        self.stats.pvt_reads = vpe.pvt_reads;
-        self.stats.prf_reads = vpe.prf_reads;
+        stats.pvt_writes = vpe.pvt_writes;
+        stats.pvt_reads = vpe.pvt_reads;
+        stats.prf_reads = vpe.prf_reads;
+        stats.per_pc = self
+            .per_pc
+            .iter()
+            .filter(|(_, s)| s.executions > 0)
+            .map(|(&pc, &s)| (pc, s))
+            .collect();
+        stats
     }
 
     // ------------------------------------------------------------------
@@ -514,7 +602,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
 
         // ---- per-PC load breakdown --------------------------------------
         if is_load {
-            let pcs = self.stats.per_pc.entry(rec.pc).or_default();
+            let pcs = self.per_pc.entry(rec.pc).or_default();
             pcs.executions += 1;
             if conflicting_store_commit.is_some() {
                 pcs.conflict_exposed += 1;
@@ -525,13 +613,12 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
         }
 
         // ---- scheme verdict ---------------------------------------------
-        let values = rec.all_values();
         let info = ExecInfo {
             seq: rec.seq,
             pc: rec.pc,
             inst,
             eff_addr: rec.eff_addr,
-            values: &values,
+            values: rec.values_into(&mut self.values),
             exec_cycle: exec_start,
             conflicting_store_commit,
             l1_way,
@@ -565,7 +652,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
                 });
             }
             if is_load {
-                let pcs = self.stats.per_pc.entry(rec.pc).or_default();
+                let pcs = self.per_pc.entry(rec.pc).or_default();
                 pcs.injected += 1;
                 if verdict.correct {
                     pcs.correct += 1;
@@ -606,7 +693,7 @@ impl<S: VpScheme, K: EventSink> Core<S, K> {
         }
 
         // ---- write back -------------------------------------------------
-        for d in &dests {
+        for d in dests.iter() {
             self.reg_avail[d.index()] = dest_avail;
         }
         self.stats.prf_writes += dests.len() as u64;

@@ -96,6 +96,12 @@ impl StoreSets {
         }
     }
 
+    /// Forgets every in-flight store (the LFST) while keeping the learned
+    /// store sets (the SSIT): the pipeline drained.
+    pub fn clear_in_flight(&mut self) {
+        self.lfst.fill(None);
+    }
+
     /// A load is dispatched: the store it should wait for, if any.
     pub fn load_dependence(&self, pc: u64, seq: u64) -> Option<LfstStore> {
         let set = self.ssit[self.index(pc)]?;
@@ -160,6 +166,17 @@ mod tests {
         m.store_dispatched(0x200, 20, 500);
         m.store_retired(0x200, 20);
         assert_eq!(m.load_dependence(0x100, 25), None);
+    }
+
+    #[test]
+    fn draining_keeps_learned_sets() {
+        let mut m = StoreSets::new(MdpConfig::default());
+        m.train_violation(0x200, 0x100);
+        m.store_dispatched(0x200, 20, 500);
+        m.clear_in_flight();
+        assert_eq!(m.load_dependence(0x100, 25), None, "no store in flight");
+        m.store_dispatched(0x200, 30, 600);
+        assert!(m.load_dependence(0x100, 35).is_some(), "SSIT survives");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use crate::config::{BranchPredictorKind, CoreConfig, RecoveryMode};
 use lvp_branch::BtbConfig;
 use lvp_json::{Json, ToJson};
-use lvp_mem::{CacheConfig, HierarchyConfig, StrideConfig, TlbConfig};
+use lvp_mem::{CacheConfig, GeometryError, HierarchyConfig, StrideConfig, TlbConfig};
 
 // ---------------------------------------------------------------------------
 // Predictor configuration records (re-exported by `dlvp` under their
@@ -323,6 +323,7 @@ impl SimConfig {
             ("pap.entries", self.pap.entries),
             ("cap.entries", self.cap.entries),
             ("vtage.entries", self.vtage.entries),
+            ("core.mem.prefetch.entries", c.mem.prefetch.entries),
         ] {
             if !entries.is_power_of_two() {
                 return Err(ConfigError::NotPowerOfTwo { table, entries });
@@ -330,6 +331,18 @@ impl SimConfig {
         }
         if self.vtage.histories.is_empty() {
             return Err(ConfigError::EmptyHistories("vtage.histories"));
+        }
+        let m = &c.mem;
+        for (structure, geometry) in [
+            ("core.mem.l1i", m.l1i.geometry()),
+            ("core.mem.l1d", m.l1d.geometry()),
+            ("core.mem.l2", m.l2.geometry()),
+            ("core.mem.l3", m.l3.geometry()),
+            ("core.mem.tlb", m.tlb.geometry()),
+        ] {
+            if let Err(problem) = geometry {
+                return Err(ConfigError::BadGeometry { structure, problem });
+            }
         }
         if let Some(sample) = &self.sample {
             sample.validate()?;
@@ -509,6 +522,13 @@ pub enum ConfigError {
     NotPowerOfTwo { table: &'static str, entries: usize },
     /// A history-length list is empty.
     EmptyHistories(&'static str),
+    /// A cache or TLB geometry cannot be built as a flat power-of-two
+    /// array: zero ways, a block (page) size that is not a power of two, or
+    /// a set count that is not.
+    BadGeometry {
+        structure: &'static str,
+        problem: GeometryError,
+    },
     /// [`SimConfig::preset`] was given a name not in the registry.
     UnknownPreset(String),
     /// [`SimConfig::from_json`] met JSON that does not describe a config.
@@ -537,6 +557,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptyHistories(field) => {
                 write!(f, "{field} needs at least one history length")
             }
+            ConfigError::BadGeometry { structure, problem } => write!(f, "{structure}: {problem}"),
             ConfigError::UnknownPreset(name) => write!(
                 f,
                 "unknown preset '{name}' (available: {})",
@@ -1106,6 +1127,83 @@ mod tests {
         }
         .to_string()
         .contains("48"));
+    }
+
+    /// One config per cache level and the TLB, each with `edit` applied to
+    /// that structure's `(ways, block or page bytes, capacity)`.
+    fn bad_geometries(
+        edit: impl Fn(&mut usize, &mut u64, &mut u64),
+    ) -> Vec<(&'static str, SimConfig)> {
+        let mut out = Vec::new();
+        for structure in ["core.mem.l1i", "core.mem.l1d", "core.mem.l2", "core.mem.l3"] {
+            let mut cfg = SimConfig::paper_default();
+            let m = &mut cfg.core.mem;
+            let c = match structure {
+                "core.mem.l1i" => &mut m.l1i,
+                "core.mem.l1d" => &mut m.l1d,
+                "core.mem.l2" => &mut m.l2,
+                _ => &mut m.l3,
+            };
+            edit(&mut c.ways, &mut c.block_bytes, &mut c.size_bytes);
+            out.push((structure, cfg));
+        }
+        let mut cfg = SimConfig::paper_default();
+        let t = &mut cfg.core.mem.tlb;
+        let mut entries = t.entries as u64;
+        edit(&mut t.ways, &mut t.page_bytes, &mut entries);
+        t.entries = entries as usize;
+        out.push(("core.mem.tlb", cfg));
+        out
+    }
+
+    fn rejected(structure: &'static str, cfg: &SimConfig) -> GeometryError {
+        match cfg.validate() {
+            Err(ConfigError::BadGeometry {
+                structure: s,
+                problem,
+            }) if s == structure => problem,
+            other => panic!("{structure}: expected a geometry error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_zero_way_geometry() {
+        for (structure, cfg) in bad_geometries(|ways, _, _| *ways = 0) {
+            assert_eq!(rejected(structure, &cfg), GeometryError::ZeroWays);
+        }
+    }
+
+    #[test]
+    fn rejects_non_power_of_two_block_geometry() {
+        for (structure, cfg) in bad_geometries(|_, block, _| *block = 48) {
+            assert_eq!(
+                rejected(structure, &cfg),
+                GeometryError::BlockNotPowerOfTwo(48)
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_non_power_of_two_set_geometry() {
+        for (structure, cfg) in bad_geometries(|_, _, capacity| *capacity *= 3) {
+            assert!(matches!(
+                rejected(structure, &cfg),
+                GeometryError::SetsNotPowerOfTwo(sets) if sets % 3 == 0
+            ));
+        }
+    }
+
+    #[test]
+    fn rejects_non_power_of_two_prefetch_table() {
+        let mut cfg = SimConfig::paper_default();
+        cfg.core.mem.prefetch.entries = 0;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::NotPowerOfTwo {
+                table: "core.mem.prefetch.entries",
+                entries: 0
+            })
+        );
     }
 
     #[test]

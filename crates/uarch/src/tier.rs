@@ -14,9 +14,11 @@
 //! prefix functionally, then alternate per-period `warmup` windows (the
 //! scheme trains through [`VpScheme::set_warm_only`] but injects nothing,
 //! stats discarded) with `detail` windows whose stats accumulate, skipping
-//! the remainder of each period. Sampling never changes any unsampled
-//! artifact: the driver is only entered when a
-//! [`SampleSpec`] is present.
+//! the remainder of each period. All windows of a run stream through one
+//! long-lived [`Core`], so caches, predictors and store sets stay warm from
+//! window to window while each window's timing starts from a drained
+//! pipeline. Sampling never changes any unsampled artifact: the driver is
+//! only entered when a [`SampleSpec`] is present.
 
 use crate::config::CoreConfig;
 use crate::core::Core;
@@ -105,41 +107,30 @@ impl SimpleTier {
     }
 }
 
-/// Pulls up to `n` records from the stream into a dense-seq window trace.
-fn take_window<I: Iterator<Item = TraceRecord>>(records: &mut I, n: u64) -> Trace {
-    let mut t = Trace::new();
-    for _ in 0..n {
-        match records.next() {
-            Some(rec) => t.push(rec),
-            None => break,
-        }
-    }
-    t
-}
-
 /// Fast-forward + sampled detailed simulation over a record stream.
 ///
-/// Consumes `records` according to `spec`: the first `spec.ff` records are
-/// skipped functionally, then each `spec.period`-record window runs its
-/// first `spec.warmup` records through a fresh cycle-level core with the
-/// scheme gated warm-only (training continues, injection stops, stats
-/// discarded), its next `spec.detail` records through a fresh core with the
-/// gate lifted (stats accumulated), and skips the rest. The *scheme* is the
-/// state that persists across windows — predictor tables keep learning over
-/// the whole stream while timing state restarts per window, which is what
-/// makes the result independent of how jobs are scheduled around it.
+/// Consumes `records` according to `spec` on **one** long-lived cycle-level
+/// [`Core`]: the first `spec.ff` records are skipped functionally, then
+/// each `spec.period`-record period streams its first `spec.warmup` records
+/// through the core with the scheme gated warm-only (training continues,
+/// injection stops, stats discarded), its next `spec.detail` records with
+/// the gate lifted (stats accumulated), and skips the rest. Each window
+/// starts with the pipeline drained at the previous window's last commit
+/// cycle ([`Core::run_window`]); the caches, TLB, prefetcher, branch
+/// predictors, store sets and scheme carry their state across windows, as
+/// in SMARTS (Wunderlich et al., ISCA 2003). Skipped records warm nothing.
 ///
 /// Returns the accumulated detail-window stats — with
 /// [`SimStats::sampling`] populated — and the scheme. Tier transitions are
 /// emitted into `sink` (pass [`NullSink`] to discard them).
 ///
 /// `spin` is a host-side slowdown for wall-clock gate tests: after each
-/// warmup or detail window's core has run, `spin` busy-loop iterations per
-/// window instruction are burned. It never enters the core's step loop and
-/// leaves every simulated result unchanged; pass 0 to disable it.
+/// warmup or detail window has run, `spin` busy-loop iterations per window
+/// instruction are burned. It never enters the core's step loop and leaves
+/// every simulated result unchanged; pass 0 to disable it.
 pub fn run_sampled<S, I, K>(
     cfg: &CoreConfig,
-    mut scheme: S,
+    scheme: S,
     records: I,
     spec: SampleSpec,
     spin: u32,
@@ -150,7 +141,8 @@ where
     I: IntoIterator<Item = TraceRecord>,
     K: EventSink,
 {
-    let mut records = records.into_iter();
+    let mut records = records.into_iter().peekable();
+    let mut core = Core::new(cfg.clone(), scheme);
     let mut total = SimStats::default();
     let mut acct = SamplingStats::default();
     let mut consumed: u64 = 0;
@@ -173,31 +165,29 @@ where
     loop {
         // ---- warmup: train predictors, discard timing -----------------
         if spec.warmup > 0 {
-            let warm = take_window(&mut records, spec.warmup);
-            if !warm.is_empty() {
-                if K::ENABLED {
-                    sink.emit(ObsEvent::TierTransition {
-                        seq: consumed,
-                        cycle: total.cycles,
-                        tier: TierKind::Warmup,
-                    });
-                }
-                scheme.set_warm_only(true);
-                let (_, back) = Core::new(cfg.clone(), scheme).run_with_scheme(&warm);
-                burn(spin, warm.len() as u64);
-                scheme = back;
-                scheme.set_warm_only(false);
-                consumed += warm.len() as u64;
-                acct.warmup_instructions += warm.len() as u64;
+            if records.peek().is_none() {
+                break;
             }
-            if (warm.len() as u64) < spec.warmup {
+            if K::ENABLED {
+                sink.emit(ObsEvent::TierTransition {
+                    seq: consumed,
+                    cycle: total.cycles,
+                    tier: TierKind::Warmup,
+                });
+            }
+            core.scheme_mut().set_warm_only(true);
+            let warmed = core.run_window(records.by_ref().take(spec.warmup as usize));
+            core.scheme_mut().set_warm_only(false);
+            burn(spin, warmed.instructions);
+            consumed += warmed.instructions;
+            acct.warmup_instructions += warmed.instructions;
+            if warmed.instructions < spec.warmup {
                 break;
             }
         }
 
         // ---- detail: accumulate stats ---------------------------------
-        let detail = take_window(&mut records, spec.detail);
-        if detail.is_empty() {
+        if records.peek().is_none() {
             break;
         }
         if K::ENABLED {
@@ -207,13 +197,12 @@ where
                 tier: TierKind::Detail,
             });
         }
-        let (stats, back) = Core::new(cfg.clone(), scheme).run_with_scheme(&detail);
-        burn(spin, detail.len() as u64);
-        scheme = back;
-        consumed += detail.len() as u64;
+        let stats = core.run_window(records.by_ref().take(spec.detail as usize));
+        burn(spin, stats.instructions);
+        consumed += stats.instructions;
         acct.windows += 1;
         total.accumulate(&stats);
-        if (detail.len() as u64) < spec.detail {
+        if stats.instructions < spec.detail {
             break;
         }
 
@@ -241,7 +230,7 @@ where
     }
 
     total.sampling = Some(acct);
-    (total, scheme)
+    (total, core.into_scheme())
 }
 
 /// [`run_sampled`] over an in-memory trace with no event sink — the common
@@ -325,6 +314,24 @@ mod tests {
             sampled, full,
             "one whole-trace detail window is the full run"
         );
+    }
+
+    #[test]
+    fn warm_state_persists_across_windows() {
+        let t = trace("aifirf", 5_000);
+        let mut core = Core::new(CoreConfig::default(), NoVp);
+        let cold = core.run_window(t.records());
+        assert_eq!(cold, simulate(&t, NoVp), "a fresh core's window is a run");
+        let warm = core.run_window(t.records());
+        assert_eq!(warm.instructions, cold.instructions);
+        assert!(
+            warm.mem.l1d.misses < cold.mem.l1d.misses,
+            "repeated records must hit the long-lived L1D: {} vs {} misses",
+            warm.mem.l1d.misses,
+            cold.mem.l1d.misses
+        );
+        assert!(warm.branch_mispredicts <= cold.branch_mispredicts);
+        assert!(warm.cycles < cold.cycles);
     }
 
     #[test]

@@ -152,6 +152,12 @@ impl Vpe {
     pub fn stats(&self) -> VpeStats {
         self.stats
     }
+
+    /// Zeroes the statistics. Live entries and predicted bits are kept:
+    /// their cycles lie in the past of any later window.
+    pub fn reset_stats(&mut self) {
+        self.stats = VpeStats::default();
+    }
 }
 
 #[cfg(test)]
