@@ -153,6 +153,31 @@ cmp "$tmp/depgraph.json" results/analysis/depgraph.json
 ./target/release/bench --validate-manifest "$tmp/analyze_manifest.json"
 echo "analyze report and depgraph match the committed artifacts byte-for-byte (telemetry on)"
 
+echo "== result store gate (cold vs warm analyze) =="
+# The validating DLVP sims run on the same cached batch engine as figs: a
+# warm rerun on the same store executes zero sim jobs and still writes the
+# committed artifacts byte-for-byte.
+./target/release/analyze --budget 60000 --out "$tmp/analysis_cold.json" \
+  --depgraph "$tmp/depgraph_cold.json" --store "$tmp/analyze_store" --quiet > /dev/null
+./target/release/analyze --budget 60000 --out "$tmp/analysis_warm.json" \
+  --depgraph "$tmp/depgraph_warm.json" --store "$tmp/analyze_store" --quiet \
+  --telemetry "$tmp/analyze_warm_manifest.json" > /dev/null
+for run in cold warm; do
+  cmp "$tmp/analysis_$run.json" results/analysis/report.json
+  cmp "$tmp/depgraph_$run.json" results/analysis/depgraph.json
+done
+python3 - "$tmp/analyze_warm_manifest.json" <<'EOF'
+import json, sys
+m = json.load(open(sys.argv[1]))
+store = m.get("store") or {}
+assert m["jobs"] == 0, f"warm analyze executed {m['jobs']} sim jobs"
+assert store.get("misses") == 0, f"warm analyze missed the store: {store}"
+assert store.get("hits", 0) > 0, f"warm analyze reports no store hits: {store}"
+print(f"warm analyze: 0 sim jobs executed, {store['hits']} store hits, 0 misses")
+EOF
+./target/release/bench --validate-manifest "$tmp/analyze_warm_manifest.json"
+echo "store-enabled analyze is byte-identical cold and warm; warm is 100% hits"
+
 echo "== sim-throughput regression gate =="
 # Median-of-5 (warm-up discarded) per matrix cell against the committed
 # BENCH_simcore.json baseline. The tolerance band is rel=1.0 (fail only

@@ -241,7 +241,7 @@ pub fn cross_validate(loads: &[XvalLoad], cfg: &XvalConfig) -> Vec<Violation> {
 }
 
 /// Static dependence facts the R5–R7 rules check dynamic counters against.
-/// The bench/oracle layer builds `must_exercised` from the trace.
+/// `lvp_fuzz::XvalJoin` builds `must_exercised` from the trace.
 #[derive(Debug, Clone, Copy)]
 pub struct DepInputs<'a> {
     /// The store→load conflict graph.

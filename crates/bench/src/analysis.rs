@@ -1,26 +1,24 @@
 //! The `analyze` pipeline: static analysis of every workload program,
 //! cross-validated against a dynamic DLVP simulation of the same workload.
 //!
-//! This is the library backing the `analyze` CLI (and the integration
-//! tests): [`analyze_workload`] runs `lvp-analysis` over the workload's
-//! program — the path-insensitive pass *and* the path-sensitive dependence
-//! pass ([`lvp_analysis::DepAnalysis`]: path contexts, store→load conflict
-//! graph, static predictability bounds) — simulates the trace under DLVP,
-//! merges the simulator's and the engine's per-PC counters into
-//! [`lvp_analysis::DynLoadStats`], and runs both gate rule sets:
-//! [`lvp_analysis::cross_validate`] (R1–R4) and
-//! [`lvp_analysis::cross_validate_dep`] (R5–R7). Path-hash collisions (the
-//! warn-level R8 audit) are counted in the report but never fail the gate.
+//! This is the library backing the `analyze` CLI, the `table05_conflicts`
+//! spec and the integration tests: [`analyze_workloads`] runs `lvp-analysis`
+//! over each workload's program — the path-insensitive pass *and* the
+//! path-sensitive dependence pass ([`lvp_analysis::DepAnalysis`]: path
+//! contexts, store→load conflict graph, static predictability bounds) —
+//! simulates each trace under DLVP as one [`SimJob`] on the shared batch
+//! engine ([`run_batch`]), and joins the two with [`XvalJoin::new`] — the
+//! same join the fuzz oracle's DLVP deep check uses — which runs both gate
+//! rule sets (R1–R4 and R5–R7). Path-hash collisions (the warn-level R8
+//! audit) are counted in the report but never fail the gate.
 //! [`report_json`] renders the whole batch as one deterministic JSON
 //! document; [`depgraph_json`] renders the purely static dependence graphs
 //! (byte-diffed in CI — they depend only on the programs, not the budget).
 
-use crate::service::Exec;
+use crate::service::{run_batch, Exec, SimJob};
 use dlvp::{DlvpConfig, DlvpSimSlice, PapConfig};
-use lvp_analysis::{
-    cross_validate, cross_validate_dep, DepAnalysis, DepInputs, DynLoadStats, ProgramAnalysis,
-    Violation, XvalConfig, XvalLoad,
-};
+use lvp_analysis::{DepAnalysis, ProgramAnalysis, Violation, XvalConfig, XvalLoad};
+use lvp_fuzz::XvalJoin;
 use lvp_json::{Json, ToJson};
 use lvp_trace::Trace;
 use lvp_uarch::CoreConfig;
@@ -51,41 +49,50 @@ pub struct WorkloadAnalysis {
     pub sim_instructions: u64,
 }
 
-/// Counts, for every must-conflict edge, how many times the load committed
-/// *after* the store's first dynamic execution — the R5 exercise metric.
-/// The simulator's conflict-granule map is persistent, so any such load
-/// execution is guaranteed to observe the exposure.
-fn must_exercised(trace: &Trace, dep: &DepAnalysis) -> BTreeMap<(u64, u64), u64> {
-    let mut store_first: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut load_indices: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    for (i, r) in trace.records().iter().enumerate() {
-        if r.inst.is_store() {
-            store_first.entry(r.pc).or_insert(i);
-        } else if r.inst.is_load() {
-            load_indices.entry(r.pc).or_default().push(i);
-        }
-    }
-    dep.graph
-        .must_edges()
-        .map(|e| {
-            let n = store_first
-                .get(&e.store_pc)
-                .map(|&first| {
-                    load_indices
-                        .get(&e.load_pc)
-                        .map_or(0, |v| v.iter().filter(|&&i| i > first).count() as u64)
-                })
-                .unwrap_or(0);
-            ((e.load_pc, e.store_pc), n)
-        })
-        .collect()
+/// One workload's validating DLVP simulation as a batch job. Its request
+/// document and payload are [`DlvpSimSlice`]'s, so the fuzz oracle's deep
+/// check and this pipeline share store entries.
+struct XvalJob {
+    workload: &'static str,
+    budget: u64,
+    pap: PapConfig,
+    dlvp: DlvpConfig,
 }
 
-/// Analyzes one workload and cross-validates against a DLVP simulation of
-/// `budget` dynamic instructions. `pap` and `dlvp` configure the engine
-/// under test — pass `PapConfig { train_reset_on_mismatch: false, .. }` or
-/// `DlvpConfig { inject_lscd_bug: true, .. }` to inject the bugs the gate
-/// is designed to catch.
+impl SimJob for XvalJob {
+    type Output = DlvpSimSlice;
+
+    fn trace_id(&self) -> (&str, u64) {
+        (self.workload, self.budget)
+    }
+
+    fn label(&self) -> String {
+        format!("job:{}/analyze/dlvp", self.workload)
+    }
+
+    fn request_doc(&self, trace_fingerprint: u64) -> Json {
+        let core = CoreConfig::default();
+        DlvpSimSlice::request_doc(trace_fingerprint, self.budget, &core, &self.dlvp, &self.pap)
+    }
+
+    fn run(&self, trace: &Trace) -> DlvpSimSlice {
+        DlvpSimSlice::run(trace, CoreConfig::default(), self.dlvp, self.pap)
+    }
+
+    fn encode(output: &DlvpSimSlice) -> Json {
+        output.to_payload()
+    }
+
+    fn decode(payload: &Json) -> Option<DlvpSimSlice> {
+        DlvpSimSlice::from_payload(payload)
+    }
+
+    fn work(output: &DlvpSimSlice) -> (u64, u64) {
+        (output.cycles, output.instructions)
+    }
+}
+
+/// [`analyze_workloads`] for one workload, without telemetry or a store.
 pub fn analyze_workload(
     workload: &Workload,
     budget: u64,
@@ -93,136 +100,23 @@ pub fn analyze_workload(
     dlvp: DlvpConfig,
     xval: &XvalConfig,
 ) -> WorkloadAnalysis {
-    analyze_workload_serviced(workload, budget, pap, dlvp, xval, &Exec::new(1)).0
+    let one = std::slice::from_ref(workload);
+    let mut results = analyze_workloads(one, budget, pap, dlvp, xval, &Exec::new(1));
+    results.remove(0)
 }
 
-/// [`analyze_workload`] behind a result store: the validating DLVP
-/// simulation (the expensive part) is looked up in — and recorded to —
-/// the result store; the static passes and gate rules always run. Returns
-/// the analysis and whether the simulation was a cache hit. The analysis
-/// is identical either way because the cached payload round-trips every
-/// counter the gate reads.
+/// Analyzes a batch of workloads and cross-validates each against a DLVP
+/// simulation of `budget` dynamic instructions. `pap` and `dlvp` configure
+/// the engine under test — pass `PapConfig { train_reset_on_mismatch:
+/// false, .. }` or `DlvpConfig { inject_lscd_bug: true, .. }` to inject the
+/// bugs the gate is designed to catch.
 ///
-/// A `job:<workload>/analyze/dlvp` span is opened on `exec.phases` only
-/// when the simulation actually runs, so a warm run's manifest reports
-/// zero jobs — exactly like the `figs`/`runner` batches.
-fn analyze_workload_serviced<P: lvp_obs::PhaseSink>(
-    workload: &Workload,
-    budget: u64,
-    pap: PapConfig,
-    dlvp: DlvpConfig,
-    xval: &XvalConfig,
-    exec: &Exec<P>,
-) -> (WorkloadAnalysis, bool) {
-    let program = workload.program();
-    let analysis = ProgramAnalysis::analyze(&program);
-    let dep = DepAnalysis::analyze(&program, &analysis);
-    let trace = workload.trace(budget);
-
-    let run_span = |trace: &Trace| {
-        let mut job = if P::ENABLED {
-            Some(
-                exec.phases
-                    .span(0, &format!("job:{}/analyze/dlvp", workload.name)),
-            )
-        } else {
-            None
-        };
-        let sim = DlvpSimSlice::run(trace, CoreConfig::default(), dlvp, pap);
-        if let Some(j) = job.as_mut() {
-            j.charge(sim.cycles, sim.instructions, 1);
-            j.finish();
-        }
-        sim
-    };
-    let (sim, hit) = if let Some(service) = exec.service.filter(|s| s.enabled()) {
-        let doc = DlvpSimSlice::request_doc(
-            trace.fingerprint(),
-            budget,
-            &CoreConfig::default(),
-            &dlvp,
-            &pap,
-        );
-        let key = service.key(&doc);
-        match service
-            .lookup(&key)
-            .and_then(|p| DlvpSimSlice::from_payload(&p))
-        {
-            Some(sim) => (sim, true),
-            None => {
-                let sim = run_span(&trace);
-                if let Err(e) = service.record(&key, &sim.to_payload()) {
-                    eprintln!("warning: result store write failed: {e}");
-                }
-                (sim, false)
-            }
-        }
-    } else {
-        (run_span(&trace), false)
-    };
-
-    let loads: Vec<XvalLoad> = analysis
-        .loads
-        .iter()
-        .map(|l| {
-            let s = sim.per_pc.get(&l.pc).copied().unwrap_or_default();
-            let eng = sim.outcomes.get(&l.pc).copied().unwrap_or_default();
-            XvalLoad {
-                pc: l.pc,
-                class: l.class,
-                conflict_free: l.conflict_free(),
-                ordered: l.ordered,
-                stats: DynLoadStats {
-                    executions: s.executions,
-                    conflict_exposed: s.conflict_exposed,
-                    ordering_violations: s.ordering_violations,
-                    injected: s.injected,
-                    value_correct: s.correct,
-                    attempts: eng.attempts,
-                    predictions: eng.predictions,
-                    addr_mispredicts: eng.addr_mispredicts,
-                    stale_mispredicts: eng.stale_mispredicts,
-                    lscd_suppressed: eng.lscd_suppressed,
-                },
-            }
-        })
-        .collect();
-    let exercised = must_exercised(&trace, &dep);
-    let mut violations = cross_validate(&loads, xval);
-    violations.extend(cross_validate_dep(
-        &loads,
-        &DepInputs {
-            graph: &dep.graph,
-            bounds: &dep.bounds,
-            must_exercised: &exercised,
-        },
-        xval,
-    ));
-    (
-        WorkloadAnalysis {
-            name: workload.name,
-            analysis,
-            dep,
-            loads,
-            must_exercised: exercised,
-            violations,
-            sim_cycles: sim.cycles,
-            sim_instructions: sim.instructions,
-        },
-        hit,
-    )
-}
-
-/// Analyzes a batch of workloads (see [`analyze_workload`]), serially and
-/// in input order.
-///
-/// With `exec` recording phases, the batch runs under a lane-0 `analyze`
-/// span with one `job:<workload>/analyze/dlvp` span per validating
-/// simulation, charged with its cycles and instructions. Behind a result
-/// store, simulations that hit get no `job:` span and charge no work, so a
-/// fully warm run's manifest reports zero jobs — exactly like the
-/// `figs`/`runner` batches. The reports are byte-identical either way.
-/// The batch is serial, so `exec.workers` is not consulted.
+/// The validating simulations are one [`run_batch`] on `exec`: traces are
+/// built once, the result store answers what it holds, and only misses
+/// run, each under a `job:<workload>/analyze/dlvp` span — so a fully warm
+/// run's manifest reports zero jobs, exactly like the `figs`/`runner`
+/// batches. The static passes and the join run under a lane-0 `analyze`
+/// span, in input order. Results are byte-identical for any `exec`.
 pub fn analyze_workloads<P: lvp_obs::PhaseSink>(
     workloads: &[Workload],
     budget: u64,
@@ -231,24 +125,46 @@ pub fn analyze_workloads<P: lvp_obs::PhaseSink>(
     xval: &XvalConfig,
     exec: &Exec<P>,
 ) -> Vec<WorkloadAnalysis> {
-    let mut span = exec.phases.span(0, "analyze");
-    let mut executed = (0u64, 0u64, 0u64);
-    let results: Vec<WorkloadAnalysis> = workloads
+    let jobs: Vec<XvalJob> = workloads
         .iter()
-        .map(|w| {
-            let (r, hit) = analyze_workload_serviced(w, budget, pap, dlvp, xval, exec);
-            if !hit {
-                executed.0 += r.sim_cycles;
-                executed.1 += r.sim_instructions;
-                executed.2 += 1;
-            }
-            if let Some(p) = exec.progress {
-                p.tick(r.sim_cycles);
-            }
-            r
+        .map(|w| XvalJob {
+            workload: w.name,
+            budget,
+            pap,
+            dlvp,
         })
         .collect();
-    span.charge(executed.0, executed.1, executed.2);
+    let batch = run_batch(&jobs, &[], exec);
+    let mut span = exec.phases.span(0, "analyze");
+    let results = workloads
+        .iter()
+        .zip(batch.results)
+        .map(|(w, (sim, _))| {
+            let trace = batch
+                .traces
+                .iter()
+                .find_map(|((name, _), t)| (name == w.name).then_some(t))
+                .expect("run_batch builds every job's trace");
+            let program = w.program();
+            let analysis = ProgramAnalysis::analyze(&program);
+            let dep = DepAnalysis::analyze(&program, &analysis);
+            let XvalJoin {
+                loads,
+                must_exercised,
+                violations,
+            } = XvalJoin::new(&sim, &analysis, &dep, trace, xval);
+            WorkloadAnalysis {
+                name: w.name,
+                analysis,
+                dep,
+                loads,
+                must_exercised,
+                violations,
+                sim_cycles: sim.cycles,
+                sim_instructions: sim.instructions,
+            }
+        })
+        .collect();
     span.finish();
     results
 }

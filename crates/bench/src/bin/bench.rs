@@ -31,6 +31,7 @@ use lvp_bench::perf::{
     SIMCORE_SCHEMES, SIMCORE_WORKLOADS, STORE_PHASES, TIER_PHASES, TIER_SAMPLE,
 };
 use lvp_bench::telemetry::{self, fmt_rate, Manifest};
+use lvp_bench::Flags;
 use lvp_json::{Json, ToJson};
 use lvp_obs::{NullPhases, PhaseRecorder};
 use std::path::PathBuf;
@@ -46,44 +47,6 @@ fn usage(err: &str) -> ! {
     eprintln!("             [--inject-slowdown] [--telemetry PATH] [--host-trace PATH]");
     eprintln!("             [--validate-manifest PATH] [--list]");
     std::process::exit(2);
-}
-
-struct Flags {
-    argv: Vec<String>,
-}
-
-impl Flags {
-    fn take(&mut self, flag: &str) -> Option<String> {
-        let i = self.argv.iter().position(|a| a == flag)?;
-        if i + 1 >= self.argv.len() {
-            usage(&format!("{flag} needs a value"));
-        }
-        let v = self.argv.remove(i + 1);
-        self.argv.remove(i);
-        Some(v)
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Option<T> {
-        self.take(flag).map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| usage(&format!("{flag}: cannot parse '{v}'")))
-        })
-    }
-
-    fn take_bool(&mut self, flag: &str) -> bool {
-        if let Some(i) = self.argv.iter().position(|a| a == flag) {
-            self.argv.remove(i);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn finish(self) {
-        if let Some(stray) = self.argv.first() {
-            usage(&format!("unknown argument '{stray}'"));
-        }
-    }
 }
 
 /// The CI telemetry smoke: 0 iff the manifest parses and re-serializes to
@@ -129,9 +92,7 @@ fn validate_manifest(path: &PathBuf) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut flags = Flags {
-        argv: std::env::args().skip(1).collect(),
-    };
+    let mut flags = Flags::new(std::env::args().skip(1).collect(), usage);
     if flags.take_bool("--list") {
         println!(
             "simcore   : {} workloads x {} schemes, budget {}",

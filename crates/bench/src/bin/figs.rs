@@ -105,7 +105,7 @@ fn parse_args() -> Result<Args, String> {
 /// Runs the selected specs, recording host telemetry when requested. The
 /// rendered texts are byte-identical either way.
 fn run(args: &Args, selected: &[&ExperimentSpec]) -> Result<Vec<RenderedSpec>, String> {
-    let total = specs::distinct_requests(selected).len();
+    let total = specs::distinct_requests(selected).len() + specs::distinct_analyses(selected).len();
     let progress = Progress::new("figs", total, !args.quiet && total > 0);
     let service = SimService::from_flag(args.store.as_deref()).map_err(|e| e.to_string())?;
     if args.telemetry.is_none() && args.host_trace.is_none() {

@@ -28,9 +28,9 @@
 //! an in-memory memo by default (duplicate programs across seeds simulate
 //! once), or the shared on-disk store with `--store DIR`.
 
-use lvp_bench::{par_map, telemetry, Exec, Progress};
+use lvp_bench::{par_map, telemetry, Exec, Flags, Progress};
 use lvp_fuzz::minimize::minimize;
-use lvp_fuzz::{campaign_report, plan, run_seed_serviced, OracleConfig, SeedOutcome, SynthProfile};
+use lvp_fuzz::{campaign_report, plan, run_seed, OracleConfig, SeedOutcome, SynthProfile};
 use lvp_json::{Json, ToJson};
 use lvp_obs::{PhaseRecorder, PhaseSink};
 use lvp_store::SimService;
@@ -50,44 +50,6 @@ fn usage(err: &str) -> ! {
     std::process::exit(2);
 }
 
-struct Flags {
-    argv: Vec<String>,
-}
-
-impl Flags {
-    fn take(&mut self, flag: &str) -> Option<String> {
-        let i = self.argv.iter().position(|a| a == flag)?;
-        if i + 1 >= self.argv.len() {
-            usage(&format!("{flag} needs a value"));
-        }
-        let v = self.argv.remove(i + 1);
-        self.argv.remove(i);
-        Some(v)
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Option<T> {
-        self.take(flag).map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| usage(&format!("{flag}: cannot parse '{v}'")))
-        })
-    }
-
-    fn take_bool(&mut self, flag: &str) -> bool {
-        if let Some(i) = self.argv.iter().position(|a| a == flag) {
-            self.argv.remove(i);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn finish(self) {
-        if let Some(stray) = self.argv.first() {
-            usage(&format!("unknown argument '{stray}'"));
-        }
-    }
-}
-
 /// Runs the seed campaign on the worker pool, one `job:` span per seed
 /// (charged with its dynamic instruction count). The outcomes are
 /// byte-identical with or without recording.
@@ -104,7 +66,7 @@ fn run_campaign<P: PhaseSink>(
         exec,
         |seed| format!("job:seed{seed}/fuzz/oracle"),
         |o: &SeedOutcome| (0, o.dynamic as u64),
-        |&seed| run_seed_serviced(profile, seed, cfg, service),
+        |&seed| run_seed(profile, seed, cfg, service),
     );
     let dynamic: u64 = outcomes.iter().map(|o| o.dynamic as u64).sum();
     span.charge(0, dynamic, outcomes.len() as u64);
@@ -113,9 +75,7 @@ fn run_campaign<P: PhaseSink>(
 }
 
 fn main() -> ExitCode {
-    let mut flags = Flags {
-        argv: std::env::args().skip(1).collect(),
-    };
+    let mut flags = Flags::new(std::env::args().skip(1).collect(), usage);
     if flags.take_bool("--list") {
         for name in SynthProfile::preset_names() {
             let p = SynthProfile::preset(name).expect("catalogue entry");

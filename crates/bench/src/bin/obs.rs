@@ -32,7 +32,7 @@
 //! counts. Host-timing output (the profiler, `overhead`) goes to stderr
 //! only and never into an artifact.
 
-use lvp_bench::{run_scheme, run_scheme_traced, sim_request_doc, SchemeKind};
+use lvp_bench::{run_scheme, run_scheme_traced, sim_request_doc, Flags, SchemeKind};
 use lvp_json::ToJson;
 use lvp_obs::{
     chrome_trace, LifecycleReport, ObsEvent, PhaseRecorder, PhaseSink, RunMeta, StoreOp,
@@ -59,40 +59,6 @@ fn usage(err: &str) -> ! {
     eprintln!("       obs misp     [--workload W] [--budget N] [--top N]");
     eprintln!("       obs overhead [--workload W] [--budget N] [--max-ratio X]");
     std::process::exit(2);
-}
-
-/// Tiny `--flag value` parser shared by the flag-style subcommands.
-struct Flags {
-    argv: Vec<String>,
-}
-
-impl Flags {
-    fn new(argv: Vec<String>) -> Flags {
-        Flags { argv }
-    }
-
-    fn take(&mut self, flag: &str) -> Option<String> {
-        let i = self.argv.iter().position(|a| a == flag)?;
-        if i + 1 >= self.argv.len() {
-            usage(&format!("{flag} needs a value"));
-        }
-        let v = self.argv.remove(i + 1);
-        self.argv.remove(i);
-        Some(v)
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Option<T> {
-        self.take(flag).map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| usage(&format!("{flag}: cannot parse '{v}'")))
-        })
-    }
-
-    fn finish(self) {
-        if let Some(stray) = self.argv.first() {
-            usage(&format!("unknown argument '{stray}'"));
-        }
-    }
 }
 
 fn workload_or_die(name: &str) -> lvp_workloads::Workload {
@@ -462,12 +428,12 @@ fn cmd_overhead(mut flags: Flags) -> ExitCode {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
-        Some("run") => cmd_run(Flags::new(argv[1..].to_vec())),
+        Some("run") => cmd_run(Flags::new(argv[1..].to_vec(), usage)),
         Some("record") => cmd_record(&argv[1..]),
         Some("stats") => cmd_stats(&argv[1..]),
         Some("replay") => cmd_replay(&argv[1..]),
-        Some("misp") => cmd_misp(Flags::new(argv[1..].to_vec())),
-        Some("overhead") => cmd_overhead(Flags::new(argv[1..].to_vec())),
+        Some("misp") => cmd_misp(Flags::new(argv[1..].to_vec(), usage)),
+        Some("overhead") => cmd_overhead(Flags::new(argv[1..].to_vec(), usage)),
         Some("--help") | Some("-h") | Some("help") => usage(""),
         _ => usage("missing subcommand"),
     }

@@ -21,6 +21,7 @@
 
 pub mod analysis;
 pub mod experiments;
+pub mod flags;
 pub mod perf;
 pub mod report;
 pub mod runner;
@@ -30,6 +31,7 @@ pub mod specs;
 pub mod telemetry;
 
 pub use experiments::{run_scheme, run_scheme_traced, SchemeKind, SchemeOutcome};
+pub use flags::Flags;
 pub use runner::{
     default_jobs, diff_matrices, run_matrix, ConfigVariant, Drift, JobResult, JobSpec,
     MatrixResults, MatrixSpec, Tolerances,

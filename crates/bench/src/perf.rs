@@ -37,7 +37,7 @@ use lvp_analysis::XvalConfig;
 use lvp_fuzz::{run_seed, OracleConfig, SynthProfile};
 use lvp_json::{Json, ToJson};
 use lvp_obs::{PhaseGuard, PhaseSink};
-use lvp_store::{request_key, Store};
+use lvp_store::{request_key, SimService, Store};
 use lvp_trace::Trace;
 use lvp_uarch::{CoreConfig, FunctionalTier, SampleSpec, SimConfig, SimStats, SimpleTier};
 use std::time::{Duration, Instant};
@@ -520,7 +520,7 @@ pub fn run_benchmarks<P: PhaseSink>(policy: &BenchPolicy, spin: u32, phases: &P)
     let oracle_cfg = OracleConfig::default();
     let run_all = || {
         (0..FUZZ_SEEDS)
-            .map(|seed| run_seed(&profile, seed, &oracle_cfg))
+            .map(|seed| run_seed(&profile, seed, &oracle_cfg, &SimService::disabled()))
             .collect::<Vec<_>>()
     };
     let outcomes = run_all();

@@ -16,7 +16,7 @@
 //! `SimConfig` preset, so the full set of design points the evaluation
 //! explores is readable from `SimConfig::preset_names()` plus this file.
 
-use crate::analysis::analyze_workload;
+use crate::analysis::{analyze_workloads, WorkloadAnalysis};
 use crate::experiments::{run_scheme, ComparisonRow, SchemeKind, SchemeOutcome};
 use crate::report;
 use crate::service::{run_batch, sim_request_doc, Exec, SimJob};
@@ -136,16 +136,21 @@ pub struct ExperimentSpec {
     pub traces: TraceNeed,
     /// The simulations this spec draws from.
     pub sims: fn() -> Vec<SimRequest>,
+    /// Workloads whose static-vs-dynamic cross-validation
+    /// ([`analyze_workloads`], default DLVP configuration) the render reads.
+    pub analyze: &'static [&'static str],
     /// Formats the results — byte-identical to the retired binary's stdout.
     pub render: fn(&ResultSet) -> String,
 }
 
-/// Everything the render functions read: the per-workload traces plus every
-/// requested simulation's output, keyed by request.
+/// Everything the render functions read: the per-workload traces, every
+/// requested simulation's output keyed by request, and every requested
+/// cross-validation keyed by workload.
 pub struct ResultSet {
     budget: u64,
     traces: HashMap<String, Trace>,
     sims: HashMap<SimRequest, SimOutput>,
+    analyses: HashMap<&'static str, WorkloadAnalysis>,
 }
 
 impl ResultSet {
@@ -213,6 +218,17 @@ impl ResultSet {
             Some(SimOutput::Stats(s)) => s,
             None => panic!("spec did not request ({workload}, {scheme:?}, {preset})"),
         }
+    }
+
+    /// One workload's cross-validation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec's `analyze` did not name `workload`.
+    pub fn analysis(&self, workload: &str) -> &WorkloadAnalysis {
+        self.analyses
+            .get(workload)
+            .unwrap_or_else(|| panic!("spec did not request an analysis of '{workload}'"))
     }
 }
 
@@ -290,6 +306,16 @@ pub fn distinct_requests(specs: &[&ExperimentSpec]) -> Vec<SimRequest> {
         .collect()
 }
 
+/// The distinct workloads `specs` cross-validate, in first-seen order.
+pub fn distinct_analyses(specs: &[&ExperimentSpec]) -> Vec<&'static str> {
+    let mut seen = HashSet::new();
+    specs
+        .iter()
+        .flat_map(|spec| spec.analyze.iter().copied())
+        .filter(|w| seen.insert(*w))
+        .collect()
+}
+
 /// Executes the selected specs: dedups their simulation requests, runs the
 /// unique simulations on the shared batch engine, and renders every spec
 /// from the shared [`ResultSet`].
@@ -326,9 +352,11 @@ pub fn run_specs_with<P: PhaseSink>(
 /// [`run_specs_with`] behind a result store: every deduped request is
 /// looked up before the pool runs, only misses execute (so a fully warm
 /// store re-renders everything with **zero** sim jobs), and computed
-/// outputs are recorded for the next run. Rendered texts are
-/// byte-identical whether the store is cold, warm, or disabled, because
-/// store payloads round-trip losslessly.
+/// outputs are recorded for the next run. The specs' cross-validations
+/// then run through [`analyze_workloads`] on the same pool and store, so
+/// renders only format. Rendered texts are byte-identical whether the
+/// store is cold, warm, or disabled, because store payloads round-trip
+/// losslessly.
 pub fn run_specs_serviced<P: PhaseSink>(
     specs: &[&ExperimentSpec],
     budget: u64,
@@ -361,6 +389,16 @@ pub fn run_specs_serviced<P: PhaseSink>(
         .with_service(service);
     let batch = run_batch(&jobs, &extra_traces, &exec);
 
+    let analyze: Vec<lvp_workloads::Workload> = distinct_analyses(specs)
+        .into_iter()
+        .map(|name| lvp_workloads::by_name(name).expect("specs name registered workloads"))
+        .collect();
+    let analyses = if analyze.is_empty() {
+        Vec::new()
+    } else {
+        let (pap, dlvp) = (PapConfig::default(), DlvpConfig::default());
+        analyze_workloads(&analyze, budget, pap, dlvp, &XvalConfig::default(), &exec)
+    };
     let set = ResultSet {
         budget,
         traces: batch
@@ -372,6 +410,7 @@ pub fn run_specs_serviced<P: PhaseSink>(
             .into_iter()
             .zip(batch.results.into_iter().map(|(out, _)| out))
             .collect(),
+        analyses: analyses.into_iter().map(|r| (r.name, r)).collect(),
     };
     phases.time(0, "render", || {
         specs
@@ -1760,14 +1799,7 @@ fn table05_render(set: &ResultSet) -> String {
     );
     let mut tot = [0usize; 6];
     for name in TABLE05_WORKLOADS {
-        let w = lvp_workloads::by_name(name).expect("table workload");
-        let r = analyze_workload(
-            &w,
-            set.budget(),
-            PapConfig::default(),
-            DlvpConfig::default(),
-            &XvalConfig::default(),
-        );
+        let r = set.analysis(name);
         let may = r.dep.graph.edges.len();
         let must = r
             .dep
@@ -1862,6 +1894,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "loads conflicting with stores (Figure 1)",
         traces: TraceNeed::All,
         sims: no_sims,
+        analyze: &[],
         render: fig01_render,
     },
     ExperimentSpec {
@@ -1869,6 +1902,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "address vs value repeatability (Figure 2)",
         traces: TraceNeed::All,
         sims: no_sims,
+        analyze: &[],
         render: fig02_render,
     },
     ExperimentSpec {
@@ -1876,6 +1910,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "pipeline with value prediction and DLVP (Figure 3)",
         traces: TraceNeed::None,
         sims: no_sims,
+        analyze: &[],
         render: fig03_render,
     },
     ExperimentSpec {
@@ -1883,6 +1918,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "PAP vs CAP standalone (Figure 4)",
         traces: TraceNeed::All,
         sims: no_sims,
+        analyze: &[],
         render: fig04_render,
     },
     ExperimentSpec {
@@ -1890,6 +1926,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "DLVP prefetch on/off (Figure 5)",
         traces: TraceNeed::None,
         sims: fig05_sims,
+        analyze: &[],
         render: fig05_render,
     },
     ExperimentSpec {
@@ -1897,6 +1934,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "CAP vs VTAGE vs DLVP (Figure 6)",
         traces: TraceNeed::None,
         sims: fig06_sims,
+        analyze: &[],
         render: fig06_render,
     },
     ExperimentSpec {
@@ -1904,6 +1942,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "VTAGE filter/target study (Figure 7)",
         traces: TraceNeed::None,
         sims: fig07_sims,
+        analyze: &[],
         render: fig07_render,
     },
     ExperimentSpec {
@@ -1911,6 +1950,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "DLVP + VTAGE tournament (Figure 8)",
         traces: TraceNeed::None,
         sims: fig08_sims,
+        analyze: &[],
         render: fig08_render,
     },
     ExperimentSpec {
@@ -1918,6 +1958,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "speedup vs coverage decoupling (Figure 9)",
         traces: TraceNeed::None,
         sims: fig09_sims,
+        analyze: &[],
         render: fig09_render,
     },
     ExperimentSpec {
@@ -1925,6 +1966,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "flush vs oracle replay (Figure 10)",
         traces: TraceNeed::None,
         sims: fig10_sims,
+        analyze: &[],
         render: fig10_render,
     },
     ExperimentSpec {
@@ -1932,6 +1974,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "APT entry layout and storage budget (Table 1)",
         traces: TraceNeed::None,
         sims: no_sims,
+        analyze: &[],
         render: table01_render,
     },
     ExperimentSpec {
@@ -1939,6 +1982,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "predicted-value communication designs (Table 2)",
         traces: TraceNeed::None,
         sims: no_sims,
+        analyze: &[],
         render: table02_render,
     },
     ExperimentSpec {
@@ -1946,6 +1990,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "workload suite with dynamic-mix statistics (Table 3)",
         traces: TraceNeed::All,
         sims: no_sims,
+        analyze: &[],
         render: table03_render,
     },
     ExperimentSpec {
@@ -1953,6 +1998,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "baseline core configuration (Table 4)",
         traces: TraceNeed::None,
         sims: no_sims,
+        analyze: &[],
         render: table04_render,
     },
     ExperimentSpec {
@@ -1960,6 +2006,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "value prediction vs branch predictor quality",
         traces: TraceNeed::None,
         sims: ablation_branch_sims,
+        analyze: &[],
         render: ablation_branch_render,
     },
     ExperimentSpec {
@@ -1967,6 +2014,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "DLVP design-choice ablations",
         traces: TraceNeed::None,
         sims: ablation_dlvp_sims,
+        analyze: &[],
         render: ablation_dlvp_render,
     },
     ExperimentSpec {
@@ -1974,6 +2022,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "extension: D-VTAGE vs VTAGE vs DLVP",
         traces: TraceNeed::None,
         sims: ext_dvtage_sims,
+        analyze: &[],
         render: ext_dvtage_render,
     },
     ExperimentSpec {
@@ -1981,6 +2030,7 @@ pub const SPECS: &[ExperimentSpec] = &[
         title: "static vs dynamic store-conflict profile (dependence pass)",
         traces: TraceNeed::None,
         sims: no_sims,
+        analyze: TABLE05_WORKLOADS,
         render: table05_render,
     },
 ];
@@ -2020,6 +2070,13 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{}: preset '{}': {e}", spec.name, req.preset));
                 assert!(cfg.validate().is_ok(), "{} preset invalid", req.preset);
             }
+            for name in spec.analyze {
+                assert!(
+                    workloads.contains(name),
+                    "{}: unknown workload '{name}'",
+                    spec.name
+                );
+            }
         }
     }
 
@@ -2029,6 +2086,7 @@ mod tests {
             budget: 0,
             traces: HashMap::new(),
             sims: HashMap::new(),
+            analyses: HashMap::new(),
         };
         for name in [
             "fig03_pipeline",

@@ -6,11 +6,14 @@
 //! consumer built the document — and bumping the key schema version makes
 //! every previously stored entry unreachable rather than misinterpreted.
 
+use lvp_bench::analysis::{analyze_workloads, depgraph_json, report_json};
+use lvp_bench::specs::{self, run_specs_serviced};
 use lvp_bench::{
     execute_batch, run_matrix, sim_request_doc, BatchRequest, ConfigVariant, Exec, MatrixSpec,
-    SchemeKind,
+    Progress, SchemeKind,
 };
 use lvp_json::{Json, ToJson};
+use lvp_obs::PhaseRecorder;
 use lvp_store::{request_key, request_key_versioned, SimService, Store, KEY_SCHEMA_VERSION};
 use lvp_uarch::{SampleSpec, SimConfig};
 use std::collections::{HashMap, HashSet};
@@ -262,4 +265,62 @@ fn distinct_dimensions_change_the_key() {
         .into_iter()
         .collect();
     assert_eq!(keys.len(), 4, "every request dimension must reach the key");
+}
+
+/// `job:` spans a recorder holds — the sims that actually executed.
+fn executed_jobs(rec: &PhaseRecorder) -> usize {
+    rec.spans()
+        .iter()
+        .filter(|s| s.name.starts_with("job:"))
+        .count()
+}
+
+#[test]
+fn warm_analyze_runs_zero_jobs_and_reports_identically() {
+    let workloads: Vec<_> = ["aifirf", "nat", "mcf"]
+        .iter()
+        .map(|n| lvp_workloads::by_name(n).expect("workload"))
+        .collect();
+    let svc = SimService::in_memory();
+    let pass = || {
+        let rec = PhaseRecorder::new();
+        let exec = Exec::new(2).with_phases(&rec).with_service(&svc);
+        let (pap, dlvp, xval) = Default::default();
+        let results = analyze_workloads(&workloads, 8_000, pap, dlvp, &xval, &exec);
+        let texts = (
+            report_json(&results, 8_000).pretty(),
+            depgraph_json(&results).pretty(),
+        );
+        (texts, executed_jobs(&rec))
+    };
+    let (cold, cold_jobs) = pass();
+    assert_eq!(cold_jobs, workloads.len());
+    let (warm, warm_jobs) = pass();
+    assert_eq!(warm_jobs, 0, "a warm analyze must run no simulation");
+    assert_eq!(
+        warm, cold,
+        "report and depgraph must not depend on the store"
+    );
+    let c = svc.counters();
+    assert_eq!((c.hits, c.misses), (3, 3));
+}
+
+#[test]
+fn warm_table05_is_served_from_the_store() {
+    let spec = specs::by_name("table05_conflicts").expect("registered spec");
+    let svc = SimService::in_memory();
+    let render = || {
+        let rec = PhaseRecorder::new();
+        let out = run_specs_serviced(&[spec], 4_000, 2, &rec, &Progress::off(), &svc);
+        (out[0].text.clone(), executed_jobs(&rec))
+    };
+    let (cold, cold_jobs) = render();
+    let after_cold = svc.counters();
+    assert!(cold_jobs >= 10, "table05 validates 10 workloads");
+    let (warm, warm_jobs) = render();
+    let after_warm = svc.counters();
+    assert_eq!(warm, cold, "table05 must render identically cold and warm");
+    assert_eq!(warm_jobs, 0);
+    assert!(after_warm.hits - after_cold.hits >= 10, "{after_warm:?}");
+    assert_eq!(after_warm.misses, after_cold.misses, "{after_warm:?}");
 }

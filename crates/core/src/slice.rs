@@ -8,7 +8,8 @@
 //! JSON payload codec, so the content-addressed result store can serve
 //! one consumer's simulation to the other: the request document
 //! ([`DlvpSimSlice::request_doc`]) hashes identically for identical
-//! `(trace, configs, budget)` no matter which tool asks.
+//! `(trace, configs, budget)` no matter which tool asks. Both consumers
+//! join the slice with the static analyses through `lvp_fuzz::XvalJoin`.
 
 use crate::engine::{Dlvp, DlvpConfig, PcOutcome};
 use crate::pap::Pap;
@@ -20,6 +21,7 @@ use std::collections::BTreeMap;
 
 /// Everything the cross-validation consumers read from one validating
 /// DLVP simulation.
+#[derive(Clone)]
 pub struct DlvpSimSlice {
     /// Cycles the simulation ran for (host-telemetry accounting).
     pub cycles: u64,

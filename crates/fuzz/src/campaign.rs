@@ -6,7 +6,7 @@
 //! functions of their inputs, so a report is byte-identical no matter how
 //! many workers evaluated the seeds or in what order they finished.
 
-use crate::oracle::{check_serviced, execute, soundness, Finding, OracleConfig};
+use crate::oracle::{check, execute, soundness, Finding, OracleConfig};
 use crate::profile::SynthProfile;
 use crate::synth::{synthesize, StorePlacement, SynthProgram};
 use lvp_analysis::ProgramAnalysis;
@@ -93,15 +93,11 @@ pub fn program_hash(sp: &SynthProgram) -> u64 {
 }
 
 /// Evaluates one seed end to end: synthesize, execute, soundness-check
-/// against the analyzer, and run the differential oracle.
-pub fn run_seed(profile: &SynthProfile, seed: u64, cfg: &OracleConfig) -> SeedOutcome {
-    run_seed_serviced(profile, seed, cfg, &SimService::disabled())
-}
-
-/// [`run_seed`] behind a [`SimService`]: the oracle's DLVP deep-check
-/// simulation consults the service, so duplicate programs across seeds
-/// simulate once. Outcomes are identical for any service state.
-pub fn run_seed_serviced(
+/// against the analyzer, and run the differential oracle. The oracle's
+/// DLVP deep-check simulation consults `service`, so duplicate programs
+/// across seeds simulate once. Outcomes are identical for any service
+/// state.
+pub fn run_seed(
     profile: &SynthProfile,
     seed: u64,
     cfg: &OracleConfig,
@@ -111,7 +107,7 @@ pub fn run_seed_serviced(
     let analysis = ProgramAnalysis::analyze(&sp.program);
     let sound = soundness(&sp, &analysis, profile.mix_tolerance);
     let run = execute(&sp);
-    let findings = check_serviced(&sp, &run, cfg, service);
+    let findings = check(&sp, &run, cfg, service);
     SeedOutcome {
         seed,
         program_hash: program_hash(&sp),
@@ -158,8 +154,8 @@ mod tests {
     fn seed_outcome_is_deterministic() {
         let p = SynthProfile::preset("smoke").expect("preset");
         let cfg = OracleConfig::default();
-        let a = run_seed(&p, 1, &cfg);
-        let b = run_seed(&p, 1, &cfg);
+        let a = run_seed(&p, 1, &cfg, &SimService::disabled());
+        let b = run_seed(&p, 1, &cfg, &SimService::disabled());
         assert_eq!(a.program_hash, b.program_hash);
         assert_eq!(a.to_json().pretty(), b.to_json().pretty());
     }
@@ -168,7 +164,9 @@ mod tests {
     fn report_counts_failures() {
         let p = SynthProfile::preset("smoke").expect("preset");
         let cfg = OracleConfig::default();
-        let outcomes: Vec<SeedOutcome> = (0..3).map(|s| run_seed(&p, s, &cfg)).collect();
+        let outcomes: Vec<SeedOutcome> = (0..3)
+            .map(|s| run_seed(&p, s, &cfg, &SimService::disabled()))
+            .collect();
         let report = campaign_report(&p, &outcomes);
         let text = report.pretty();
         assert!(text.contains("\"schema_version\""));

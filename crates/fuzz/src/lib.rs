@@ -30,10 +30,12 @@ pub mod minimize;
 pub mod oracle;
 pub mod profile;
 pub mod synth;
+pub mod xval;
 
-pub use campaign::{campaign_report, run_seed, run_seed_serviced, SeedOutcome};
+pub use campaign::{campaign_report, run_seed, SeedOutcome};
 pub use metamorph::{identity_map, rename_registers, rotate_layout};
 pub use minimize::minimize;
 pub use oracle::{Finding, OracleConfig};
 pub use profile::SynthProfile;
 pub use synth::{campaign_seed, plan, synthesize, LoadKind, ProgramSpec, SynthProgram};
+pub use xval::XvalJoin;

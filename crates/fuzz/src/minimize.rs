@@ -13,7 +13,7 @@
 //! result is a locally minimal spec whose synthesized program reproduces at
 //! least one finding.
 
-use crate::oracle::{check_serviced, execute, Finding, OracleConfig};
+use crate::oracle::{check, execute, Finding, OracleConfig};
 use crate::synth::{build, ProgramSpec, StorePlacement, SynthProgram};
 use lvp_store::SimService;
 
@@ -42,7 +42,7 @@ fn failing(
     }
     let sp = build(spec);
     let run = execute(&sp);
-    let findings = check_serviced(&sp, &run, cfg, service);
+    let findings = check(&sp, &run, cfg, service);
     if findings.is_empty() {
         None
     } else {

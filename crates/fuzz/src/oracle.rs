@@ -38,17 +38,14 @@
 //!    counters (with IPC ≡ 1).
 
 use crate::synth::SynthProgram;
+use crate::xval::XvalJoin;
 use dlvp::{DlvpSimSlice, SchemeKind};
-use lvp_analysis::{
-    cross_validate, cross_validate_dep, DepAnalysis, DepInputs, DynLoadStats, ProgramAnalysis,
-    XvalConfig, XvalLoad,
-};
+use lvp_analysis::{DepAnalysis, ProgramAnalysis, XvalConfig};
 use lvp_emu::{Emulator, RunOutcome, StopReason};
 use lvp_json::{Json, ToJson};
 use lvp_obs::{LifecycleReport, RingSink, RunMeta};
 use lvp_store::SimService;
 use lvp_uarch::{Core, FunctionalTier, SimConfig, SimStats};
-use std::collections::BTreeMap;
 
 /// Configuration for one oracle evaluation.
 #[derive(Debug, Clone)]
@@ -202,18 +199,16 @@ pub fn soundness(sp: &SynthProgram, analysis: &ProgramAnalysis, tolerance: f64) 
 }
 
 /// Runs the full differential oracle over one synthesized program.
-pub fn check(sp: &SynthProgram, run: &RunOutcome, cfg: &OracleConfig) -> Vec<Finding> {
-    check_serviced(sp, run, cfg, &SimService::disabled())
-}
-
-/// [`check`] behind a [`SimService`]: the DLVP deep-check simulation
-/// (steps 7-8) is looked up in — and recorded to — the service, keyed by
-/// the trace fingerprint and the full simulator configuration. The
-/// campaign and minimizer drivers share one in-memory service so repeated
-/// candidates (minimizer fixpoint rounds, duplicate seeds) simulate once;
-/// the findings are identical either way because the cached payload
-/// round-trips every counter the gate reads.
-pub fn check_serviced(
+///
+/// The DLVP deep-check simulation (steps 7-8) is one
+/// [`SimService::cached`] request, keyed by the trace fingerprint and the
+/// full simulator configuration. The campaign and minimizer drivers share
+/// one in-memory service so repeated candidates (minimizer fixpoint
+/// rounds, duplicate seeds) simulate once; pass
+/// [`SimService::disabled`] to always simulate. The findings are identical
+/// either way because the cached payload round-trips every counter the
+/// gate reads.
+pub fn check(
     sp: &SynthProgram,
     run: &RunOutcome,
     cfg: &OracleConfig,
@@ -398,58 +393,18 @@ pub fn check_serviced(
     // traces (minimizer rounds, duplicate seeds) are served from cache.
     let dep = DepAnalysis::analyze(&sp.program, &analysis);
     let run_slice = || DlvpSimSlice::run(trace, cfg.sim.core.clone(), cfg.sim.dlvp, cfg.sim.pap);
-    let deep = if service.enabled() {
-        let doc = DlvpSimSlice::request_doc(
-            trace.fingerprint(),
-            sp.budget,
-            &cfg.sim.core,
-            &cfg.sim.dlvp,
-            &cfg.sim.pap,
-        );
-        let key = service.key(&doc);
-        match service
-            .lookup(&key)
-            .and_then(|p| DlvpSimSlice::from_payload(&p))
-        {
-            Some(slice) => slice,
-            None => {
-                let slice = run_slice();
-                if let Err(e) = service.record(&key, &slice.to_payload()) {
-                    eprintln!("warning: result store write failed: {e}");
-                }
-                slice
-            }
-        }
-    } else {
-        run_slice()
-    };
-    let xval_loads: Vec<XvalLoad> = analysis
+    let request = DlvpSimSlice::request_doc(
+        trace.fingerprint(),
+        sp.budget,
+        &cfg.sim.core,
+        &cfg.sim.dlvp,
+        &cfg.sim.pap,
+    );
+    let payload = service.cached(&request, || run_slice().to_payload());
+    let deep = DlvpSimSlice::from_payload(&payload).unwrap_or_else(run_slice);
+    let join = XvalJoin::new(&deep, &analysis, &dep, trace, &cfg.xval);
+    let const_free_sites = join
         .loads
-        .iter()
-        .map(|l| {
-            let sim = deep.per_pc.get(&l.pc).copied().unwrap_or_default();
-            let eng = deep.outcomes.get(&l.pc).copied().unwrap_or_default();
-            XvalLoad {
-                pc: l.pc,
-                class: l.class,
-                conflict_free: l.conflict_free(),
-                ordered: l.ordered,
-                stats: DynLoadStats {
-                    executions: sim.executions,
-                    conflict_exposed: sim.conflict_exposed,
-                    ordering_violations: sim.ordering_violations,
-                    injected: sim.injected,
-                    value_correct: sim.correct,
-                    attempts: eng.attempts,
-                    predictions: eng.predictions,
-                    addr_mispredicts: eng.addr_mispredicts,
-                    stale_mispredicts: eng.stale_mispredicts,
-                    lscd_suppressed: eng.lscd_suppressed,
-                },
-            }
-        })
-        .collect();
-    let const_free_sites = xval_loads
         .iter()
         .filter(|l| {
             matches!(l.class, lvp_analysis::LoadClass::Constant { .. })
@@ -458,7 +413,7 @@ pub fn check_serviced(
                 && l.stats.attempts > 0
         })
         .count();
-    for v in cross_validate(&xval_loads, &cfg.xval) {
+    for v in join.violations {
         if v.rule == "saturation" && const_free_sites < cfg.min_const_sites_for_saturation {
             // A lone constant load starving is indistinguishable from APT
             // aliasing; only flag aggregate starvation when several
@@ -471,25 +426,7 @@ pub fn check_serviced(
             v.detail,
         ));
     }
-    // Dependence rules R5-R7: must-edge exposure, coverage bounds, and the
-    // LSCD-suppression subset check.
-    let exercised = must_exercised(trace, &dep);
-    for v in cross_validate_dep(
-        &xval_loads,
-        &DepInputs {
-            graph: &dep.graph,
-            bounds: &dep.bounds,
-            must_exercised: &exercised,
-        },
-        &cfg.xval,
-    ) {
-        out.push(Finding::new(
-            SchemeKind::Dlvp.label(),
-            &format!("xval:{}", v.rule),
-            v.detail,
-        ));
-    }
-    for l in &xval_loads {
+    for l in &join.loads {
         let capped = dep
             .bounds
             .iter()
@@ -517,34 +454,6 @@ pub fn check_serviced(
         }
     }
     out
-}
-
-/// Counts, per must-conflict edge, the load executions after the store's
-/// first execution (R5's exercise metric, mirroring the bench pipeline).
-fn must_exercised(trace: &lvp_trace::Trace, dep: &DepAnalysis) -> BTreeMap<(u64, u64), u64> {
-    let mut store_first: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut load_indices: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    for (i, r) in trace.records().iter().enumerate() {
-        if r.inst.is_store() {
-            store_first.entry(r.pc).or_insert(i);
-        } else if r.inst.is_load() {
-            load_indices.entry(r.pc).or_default().push(i);
-        }
-    }
-    dep.graph
-        .must_edges()
-        .map(|e| {
-            let n = store_first
-                .get(&e.store_pc)
-                .map(|&first| {
-                    load_indices
-                        .get(&e.load_pc)
-                        .map_or(0, |v| v.iter().filter(|&&i| i > first).count() as u64)
-                })
-                .unwrap_or(0);
-            ((e.load_pc, e.store_pc), n)
-        })
-        .collect()
 }
 
 fn sanity(out: &mut Vec<Finding>, scheme: &str, stats: &SimStats) {

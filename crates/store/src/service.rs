@@ -3,13 +3,18 @@
 //! [`SimService`] is deliberately generic: it memoizes *JSON payloads*
 //! keyed by canonical request hashes, so any consumer that can express a
 //! sim as `(request document) -> (payload document)` plugs in without this
-//! crate knowing about traces, schemes or configs. Three modes:
+//! crate knowing about traces, schemes or configs. Batch consumers (the
+//! `lvp-bench` batch engine behind `figs`, `runner`, `serve` and
+//! `analyze`) key, [`SimService::lookup`] and [`SimService::record`]
+//! themselves so misses can run on a worker pool; the fuzz oracle's
+//! single DLVP deep-check request goes through [`SimService::cached`].
+//! Three modes:
 //!
 //! * **disabled** — pure pass-through; every lookup misses without
 //!   counting, [`SimService::cached`] always executes. Runs with the store
 //!   off take exactly the code path they took before this layer existed.
-//! * **in-memory** — process-local memo only. Used by the fuzz oracle to
-//!   dedup the identical scheme runs it previously rebuilt per seed.
+//! * **in-memory** — process-local memo only. Used by the fuzz campaign
+//!   and minimizer so a repeated program's deep check simulates once.
 //! * **on-disk** — memo in front of a [`Store`]; hits persist across
 //!   processes, which is what makes warm `figs --all` re-runs execute
 //!   zero sim jobs.
@@ -135,9 +140,12 @@ impl SimService {
     }
 
     /// Memoized execution of one request: looks up, else computes and
-    /// records. The single-request convenience path; batch consumers use
-    /// [`SimService::lookup`]/[`SimService::record`] directly so misses
-    /// can be sharded across a worker pool.
+    /// records. The single-request path (the fuzz oracle's DLVP deep
+    /// check); batch consumers use [`SimService::lookup`]/
+    /// [`SimService::record`] directly so misses can be sharded across a
+    /// worker pool. A failed write is warned about on stderr, never
+    /// returned: the computed value is correct and the run must not fail
+    /// because a cache write did.
     pub fn cached(&self, request: &Json, compute: impl FnOnce() -> Json) -> Json {
         if !self.enabled() {
             return compute();
@@ -147,9 +155,9 @@ impl SimService {
             return payload;
         }
         let payload = compute();
-        // Ignore persistence failures here: the computed value is correct
-        // and the run must not fail because a cache write did.
-        let _ = self.record(&key, &payload);
+        if let Err(e) = self.record(&key, &payload) {
+            eprintln!("warning: result store write failed: {e}");
+        }
         payload
     }
 
